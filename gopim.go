@@ -113,9 +113,9 @@ const (
 )
 
 // EvalClip returns the shared synthetic evaluation clip for the given
-// scale, real-encoded once and cached (encoding large clips is the
-// dominant setup cost of the video experiments). Even Quick working sets
-// exceed the 2 MiB LLC, as the paper's inputs do.
+// scale, real-encoded once per process and cached, since every video
+// target and experiment reads it (DESIGN.md §15 gives the encode's cost).
+// Even Quick working sets exceed the 2 MiB LLC, as the paper's inputs do.
 func EvalClip(s Scale) *vp9.CodedClip {
 	clipOnce.Lock()
 	defer clipOnce.Unlock()

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gopim"
+	"gopim/internal/vp9"
 )
 
 func TestTargetsCoverAllWorkloads(t *testing.T) {
@@ -45,6 +46,18 @@ func TestEvalClipCached(t *testing.T) {
 	}
 	if len(a.Frames) == 0 || len(a.Streams) != len(a.Frames) {
 		t.Error("clip incomplete")
+	}
+	// Pin the encode itself. Every other gate compares two modes of one
+	// build, so an encoder change that alters decisions deterministically
+	// passes them all; these figures catch it. The fingerprint hashes the
+	// coded streams, and the motion-search counters drive the ME kernel's
+	// trace.
+	if got, want := a.Fingerprint(), "1280x704 q28 f3 h80aeea0e8ec32b4e"; got != want {
+		t.Errorf("quick clip fingerprint %q, want %q", got, want)
+	}
+	wantME := vp9.MEStats{Blocks: 17600, SADs: 385114, RefPixelsRead: 279788410, SubPelProbes: 641108}
+	if a.EncStats.ME != wantME {
+		t.Errorf("quick clip motion-search stats %+v, want %+v", a.EncStats.ME, wantME)
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 // API is the HTTP surface over a Server — the pimsimd wire protocol:
 //
 //	POST   /jobs             submit a JobSpec; 202 + Status on admission,
-//	                         400 bad spec, 429 queue full, 503 shutting down
+//	                         400 bad spec, 413 body over maxSpecBytes,
+//	                         429 queue full, 503 shutting down
 //	GET    /jobs             list jobs in submission order
 //	GET    /jobs/{id}        poll one job's Status
 //	GET    /jobs/{id}/result the job's result bytes (text/plain) once done;
@@ -135,12 +136,22 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxSpecBytes bounds a POST /jobs body. A JobSpec is a few hundred
+// bytes; the bound keeps a hostile or broken client from making the
+// decoder buffer an unbounded body.
+const maxSpecBytes = 1 << 20
+
 func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var sp JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sp); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding spec: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("decoding spec: %w", err))
 		return
 	}
 	j, err := a.s.Submit(sp)

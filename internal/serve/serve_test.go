@@ -418,16 +418,37 @@ func TestHTTPAPI(t *testing.T) {
 	}()
 	base := "http://" + api.Addr()
 
-	// Bad submissions map to 400.
-	for _, body := range []string{"{not json", `{"kind":"run","experiments":["fig999"]}`, `{"kind":"run","bogus":1}`} {
-		resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(body))
+	// Bad submissions map to 400 and a body over maxSpecBytes to 413, in
+	// the JSON error shape, and admit no job. A bad spec of exactly the
+	// bound, padded through its tenant name, is still decoded.
+	padded := func(size int) string {
+		const spec = `{"kind":"run","experiments":["fig999"],"tenant":"%s"}`
+		return fmt.Sprintf(spec, strings.Repeat("x", size-len(spec)+2))
+	}
+	for _, c := range []struct {
+		body string
+		want int
+	}{
+		{"{not json", http.StatusBadRequest},
+		{`{"kind":"run","experiments":["fig999"]}`, http.StatusBadRequest},
+		{`{"kind":"run","bogus":1}`, http.StatusBadRequest},
+		{padded(maxSpecBytes), http.StatusBadRequest},
+		{padded(maxSpecBytes + 1), http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var e struct{ Error string }
+		decErr := json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %q: status %d, want 400", body, resp.StatusCode)
+		if resp.StatusCode != c.want || decErr != nil || e.Error == "" {
+			t.Errorf("POST %.40q (%d bytes): status %d (want %d), error %.80q, decode err %v",
+				c.body, len(c.body), resp.StatusCode, c.want, e.Error, decErr)
 		}
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Errorf("rejected submissions admitted %d jobs", n)
 	}
 
 	spec, _ := json.Marshal(JobSpec{Kind: "run", Experiments: names, Tenant: "http-test"})

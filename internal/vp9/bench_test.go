@@ -60,16 +60,6 @@ func BenchmarkDecode360p(b *testing.B) {
 	}
 }
 
-func BenchmarkSubPelInterpolation(b *testing.B) {
-	ref := video.NewSynth(640, 368, 3, 7).Frame(0)
-	var dst [16 * 16]uint8
-	var st MCStats
-	b.SetBytes(16 * 16)
-	for i := 0; i < b.N; i++ {
-		PredictLuma(dst[:], 16, ref, (i*16)%(640-32), (i*7)%(368-32), 16, 16, MV{X: 5, Y: 3}, &st)
-	}
-}
-
 func BenchmarkDiamondSearch(b *testing.B) {
 	s := video.NewSynth(640, 368, 3, 7)
 	ref, cur := s.Frame(0), s.Frame(1)

@@ -44,12 +44,6 @@ func absLanes(x, y uint64) uint64 {
 	return ((d1 & m1) | (d2 & m2)) - swarBias
 }
 
-// swarInBounds reports whether the bs x bs block at (x, y) lies entirely
-// inside the frame, so raw row slices can bypass YAt's clamping.
-func swarInBounds(f *video.Frame, x, y, bs int) bool {
-	return x >= 0 && y >= 0 && x+bs <= f.W && y+bs <= f.H
-}
-
 // sadBlockSWAR is the word-parallel body of SADBlock for fully in-bounds
 // blocks with bs a multiple of 8.
 func sadBlockSWAR(cur, ref *video.Frame, bx, by, dx, dy, bs int) int {

@@ -36,6 +36,10 @@ go test -race -count=1 -run 'TestReplayStreamBatch|TestReplayBatch|TestHierarchy
 # be at least 2x faster than 8 serial replays (no -race: it times).
 GOPIM_PERF_GATE=1 go test -count=1 -run TestBatchReplaySpeedup -v ./internal/trace
 
+# Sub-pel interpolation perf gate: the interior fast path of a 16x16
+# prediction must be at least 2x the byte-wise clamped reference loop.
+GOPIM_PERF_GATE=1 go test -count=1 -run TestPredictLumaSpeedup -v ./internal/vp9
+
 # Explorer equivalence gate: `explore -mode paper` must reproduce the
 # paper pipeline (Evaluator.Evaluate) exactly from batch-replayed traces.
 go test -race -count=1 -run TestExplorePaperConfigsMatchEvaluate ./experiments
