@@ -7,8 +7,7 @@
 // decodes each run exactly once, and the inner loop drives the configs
 // config-major — each config's tag words are walked for the whole run before
 // the next config's, instead of interleaving configs per access — which
-// keeps the hot tag/lastUse arrays of one cache in cache while they are
-// being scanned.
+// keeps one cache's tag array hot while it is being scanned.
 //
 // The second, larger lever is L1 sharing. An L1's state evolution under a
 // line-access sequence depends only on its geometry (sets, ways, line size),
@@ -134,78 +133,15 @@ func (g *l1Group) accessRepeat(addr uint64, write bool, n uint64) {
 	}
 }
 
-// accessRun mirrors Hierarchy.accessRun exactly — same hoisted stats and
-// tick handling, same scan, same tick-wrap fallback — with the single
-// difference that misses fill every group member instead of one hierarchy.
+// accessRun is Hierarchy.accessRun against the group: the lead L1 walks
+// the run, and each miss fills every member.
 func (g *l1Group) accessRun(addr uint64, write bool, n uint64, delta int64) {
 	l1 := g.lead
-	if l1.tick+n < l1.tick {
-		// The LRU clock would wrap inside the run (needs 2^64 prior
-		// accesses): take the per-access path, which renormalizes.
-		for ; n > 0; n-- {
-			hit, wb, wbAddr := l1.Access(addr, write)
-			if !hit {
-				g.fill(addr, wb, wbAddr)
-			}
-			addr += uint64(delta)
-		}
-		return
-	}
-	l1.stats.Accesses += n
-	if write {
-		l1.stats.Writes += n
-	} else {
-		l1.stats.Reads += n
-	}
-	tick := l1.tick
-	setMask := uint64(l1.sets - 1)
-	ways := l1.ways
+	l1.count(write, n)
 	for ; n > 0; n-- {
-		tick++
-		line := addr >> l1.lineBits
-		want := line | tagValid
-		base := int(line&setMask) * ways
-		tags := l1.tags[base : base+ways]
-		lastUse := l1.lastUse[base : base+ways]
-		victim := 0
-		hit := false
-		for i, t := range tags {
-			if t&^uint64(tagDirty) == want {
-				lastUse[i] = tick
-				if write {
-					tags[i] |= tagDirty
-				}
-				l1.mru = base + i
-				l1.stats.Hits++
-				hit = true
-				break
-			}
-			if t&tagValid == 0 {
-				victim = i
-			} else if tags[victim]&tagValid != 0 && lastUse[i] < lastUse[victim] {
-				victim = i
-			}
-		}
-		if !hit {
-			l1.stats.Misses++
-			var wb bool
-			var wbAddr uint64
-			if t := tags[victim]; t&(tagValid|tagDirty) == tagValid|tagDirty {
-				wb = true
-				wbAddr = (t & tagLine) << l1.lineBits
-				l1.stats.Writebacks++
-			}
-			newTag := want
-			if write {
-				newTag |= tagDirty
-			}
-			tags[victim] = newTag
-			lastUse[victim] = tick
-			l1.mru = base + victim
-			l1.tick = tick // fill never reads L1 state, but keep it coherent
+		if hit, wb, wbAddr := l1.lookup(addr>>l1.lineBits, write); !hit {
 			g.fill(addr, wb, wbAddr)
 		}
 		addr += uint64(delta)
 	}
-	l1.tick = tick
 }

@@ -11,7 +11,7 @@ package cache
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"gopim/internal/mem"
 )
@@ -69,22 +69,22 @@ const (
 // Cache is a single set-associative write-back, write-allocate cache with
 // LRU replacement. It is not safe for concurrent use; concurrent simulation
 // gives each unit of work its own cache instance (see internal/par).
+//
+// Each set stores its ways in recency order, most recently used first, with
+// the valid lines packed ahead of the empty ways. LRU is defined by that
+// order alone, so no clock or per-way timestamp is kept: a hit moves its
+// line to the front, and a miss fills the first empty way or, in a full
+// set, evicts the last (least recently used) way.
 type Cache struct {
 	cfg      Config
 	sets     int
 	ways     int
 	lineBits uint
 	tags     []uint64 // sets*ways entries; tagValid | tagDirty | line address
-	lastUse  []uint64
-	// tick is the LRU clock. It increments once per access; on the (in
-	// practice unreachable) wrap to zero the lastUse values are compacted
-	// order-preservingly so LRU decisions survive 2^64 accesses.
-	tick uint64
-	// mru is the line index of the most recent hit or fill. Consecutive
-	// sub-line accesses to the same 64 B line — the common case in
-	// byte-wise kernels like blitting and LZO — short-circuit here and
-	// skip the set scan. Pure fast path: stats and LRU state advance
-	// exactly as a scan hit would.
+	// mru is the base index of the last-touched set, so tags[mru] is the
+	// most recently used line. Consecutive sub-line accesses to the same
+	// 64 B line — the common case in byte-wise kernels like blitting and
+	// LZO — hit there without computing a set index.
 	mru   int
 	stats Stats
 }
@@ -113,14 +113,12 @@ func New(cfg Config) *Cache {
 	for 1<<lineBits < cfg.LineSize {
 		lineBits++
 	}
-	n := sets * cfg.Ways
 	return &Cache{
 		cfg:      cfg,
 		sets:     sets,
 		ways:     cfg.Ways,
 		lineBits: lineBits,
-		tags:     make([]uint64, n),
-		lastUse:  make([]uint64, n),
+		tags:     make([]uint64, sets*cfg.Ways),
 	}
 }
 
@@ -132,12 +130,20 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // Reset clears contents and counters.
 func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-	}
-	c.tick = 0
+	clear(c.tags)
 	c.mru = 0
 	c.stats = Stats{}
+}
+
+// count adds n read or write accesses to the counters. Hits, misses and
+// writebacks are counted by whoever resolves each access.
+func (c *Cache) count(write bool, n uint64) {
+	c.stats.Accesses += n
+	if write {
+		c.stats.Writes += n
+	} else {
+		c.stats.Reads += n
+	}
 }
 
 // Access looks up the line containing addr, allocating it on a miss.
@@ -145,132 +151,72 @@ func (c *Cache) Reset() {
 // address (wbAddr) with writeback=true.
 func (c *Cache) Access(addr uint64, write bool) (hit bool, writeback bool, wbAddr uint64) {
 	line := addr >> c.lineBits
-	c.bumpTick()
-	c.stats.Accesses++
-	if write {
-		c.stats.Writes++
-	} else {
-		c.stats.Reads++
-	}
-	want := line | tagValid
-
-	// MRU filter: a repeat of the last-touched line needs no set scan.
+	c.count(write, 1)
+	// A repeat of the last-touched line is already at the front of its set.
 	// Tag words hold full line addresses, so a match implies a set match.
-	if m := c.mru; c.tags[m]&^uint64(tagDirty) == want {
-		c.lastUse[m] = c.tick
+	if t := c.tags[c.mru]; t&^uint64(tagDirty) == line|tagValid {
 		if write {
-			c.tags[m] |= tagDirty
+			c.tags[c.mru] = t | tagDirty
 		}
 		c.stats.Hits++
 		return true, false, 0
 	}
-
-	base := (int(line) & (c.sets - 1)) * c.ways
-	tags := c.tags[base : base+c.ways]
-
-	// Hit path: scan tags only, tracking the victim (the last empty way,
-	// else least recently used) as the original combined loop did.
-	lastUse := c.lastUse[base : base+c.ways]
-	victim := 0
-	for i, t := range tags {
-		if t&^uint64(tagDirty) == want {
-			lastUse[i] = c.tick
-			if write {
-				tags[i] |= tagDirty
-			}
-			c.mru = base + i
-			c.stats.Hits++
-			return true, false, 0
-		}
-		if t&tagValid == 0 {
-			victim = i
-		} else if tags[victim]&tagValid != 0 && lastUse[i] < lastUse[victim] {
-			victim = i
-		}
-	}
-
-	// Miss: allocate, possibly writing back the LRU victim.
-	c.stats.Misses++
-	if t := tags[victim]; t&(tagValid|tagDirty) == tagValid|tagDirty {
-		writeback = true
-		wbAddr = (t & tagLine) << c.lineBits
-		c.stats.Writebacks++
-	}
-	newTag := want
-	if write {
-		newTag |= tagDirty
-	}
-	tags[victim] = newTag
-	lastUse[victim] = c.tick
-	c.mru = base + victim
-	return false, writeback, wbAddr
+	return c.lookup(line, write)
 }
 
 // AccessRepeat applies n consecutive accesses to the line containing addr
 // in O(1), returning what the first of them returned. It is equivalent to
 // calling Access n times: after the first access the line is resident and
-// most-recently used with nothing intervening, so accesses 2..n are MRU
-// hits — each advances the LRU clock, refreshes the line's recency (only
-// the final tick survives), and counts one hit; the dirty bit was already
-// settled by the first access. Bulk same-line repeats are the dominant
-// pattern of byte-wise kernels (LZO matching, bool-coder output), which is
-// what makes compiled trace replay fast.
+// most recently used with nothing intervening, so accesses 2..n are hits
+// that change nothing but the counters (the first access settled the dirty
+// bit). Bulk same-line repeats are the dominant pattern of byte-wise
+// kernels (LZO matching, bool-coder output), which is what makes compiled
+// trace replay fast.
 func (c *Cache) AccessRepeat(addr uint64, write bool, n uint64) (hit bool, writeback bool, wbAddr uint64) {
 	hit, writeback, wbAddr = c.Access(addr, write)
-	if n <= 1 {
-		return hit, writeback, wbAddr
+	if n > 1 {
+		c.count(write, n-1)
+		c.stats.Hits += n - 1
 	}
-	rest := n - 1
-	if c.tick+rest < c.tick {
-		// The LRU clock would wrap mid-bulk (needs 2^64 prior accesses):
-		// take the literal loop, whose bumpTick renormalizes at the wrap.
-		for ; rest > 0; rest-- {
-			c.Access(addr, write)
-		}
-		return hit, writeback, wbAddr
-	}
-	c.tick += rest
-	c.stats.Accesses += rest
-	c.stats.Hits += rest
-	if write {
-		c.stats.Writes += rest
-	} else {
-		c.stats.Reads += rest
-	}
-	c.lastUse[c.mru] = c.tick
 	return hit, writeback, wbAddr
 }
 
-// bumpTick advances the LRU clock, renormalizing recency state if the
-// uint64 wraps. Long parallel sweeps push far more accesses through one
-// cache instance than before, so the wrap is guarded rather than assumed
-// away: without it, a post-wrap tick of 0 would make freshly-used lines
-// look least-recently used and silently corrupt victim selection.
-func (c *Cache) bumpTick() {
-	c.tick++
-	if c.tick != 0 {
-		return
+// lookup resolves one access to line, already counted by the caller as an
+// access, and is the one set scan every walker shares. It moves the line to
+// the front of its set; on a miss the set grows into its first empty way
+// or, when full, drops its last (least recently used) way, whose writeback
+// it reports if dirty. The scan shifts each way it passes one place back,
+// so the move to the front costs no second pass.
+func (c *Cache) lookup(line uint64, write bool) (hit bool, writeback bool, wbAddr uint64) {
+	base := int(line&uint64(c.sets-1)) * c.ways
+	c.mru = base
+	set := c.tags[base : base+c.ways]
+	key := line | tagValid
+	front := key
+	if write {
+		front |= tagDirty
 	}
-	c.renormalizeLRU()
-}
-
-// renormalizeLRU compacts lastUse values to 1..n preserving their relative
-// order, and restarts the clock above them. Costs O(lines log lines) once
-// per 2^64 accesses.
-func (c *Cache) renormalizeLRU() {
-	order := make([]int, 0, len(c.lastUse))
-	for i := range c.lastUse {
-		if c.tags[i]&tagValid != 0 {
-			order = append(order, i)
-		} else {
-			c.lastUse[i] = 0
+	prev := front // what moves into the way being visited
+	for i, t := range set {
+		set[i] = prev
+		if t&^uint64(tagDirty) == key {
+			set[0] = t | front
+			c.stats.Hits++
+			return true, false, 0
 		}
+		if t == 0 {
+			c.stats.Misses++
+			return false, false, 0
+		}
+		prev = t
 	}
-	sort.Slice(order, func(a, b int) bool { return c.lastUse[order[a]] < c.lastUse[order[b]] })
-	for rank, i := range order {
-		c.lastUse[i] = uint64(rank) + 1
+	// Full set: prev is the least recently used line, now shifted out.
+	c.stats.Misses++
+	if prev&tagDirty != 0 {
+		c.stats.Writebacks++
+		return false, true, (prev & tagLine) << c.lineBits
 	}
-	c.tick = uint64(len(order)) + 1
+	return false, false, 0
 }
 
 // sameGeometry reports whether two caches index and tag lines identically,
@@ -282,34 +228,19 @@ func sameGeometry(a, b *Cache) bool {
 }
 
 // sameState reports whether two caches of the same geometry are in
-// byte-identical simulation state: tags, recency, clock, MRU index and
+// identical simulation state: tags (in recency order), MRU index and
 // counters. Two same-geometry caches in the same state stay in the same
 // state under any shared access sequence — the invariant HierarchySet's
 // lead-cache sharing rests on.
 func sameState(a, b *Cache) bool {
-	if a.tick != b.tick || a.mru != b.mru || a.stats != b.stats {
-		return false
-	}
-	for i, t := range a.tags {
-		if t != b.tags[i] {
-			return false
-		}
-	}
-	for i, u := range a.lastUse {
-		if u != b.lastUse[i] {
-			return false
-		}
-	}
-	return true
+	return a.mru == b.mru && a.stats == b.stats && slices.Equal(a.tags, b.tags)
 }
 
-// copyStateFrom makes c's simulation state byte-identical to src's. Both
-// caches must share a geometry (the caller guarantees it); the config is
-// left untouched.
+// copyStateFrom makes c's simulation state identical to src's. Both caches
+// must share a geometry (the caller guarantees it); the config is left
+// untouched.
 func (c *Cache) copyStateFrom(src *Cache) {
 	copy(c.tags, src.tags)
-	copy(c.lastUse, src.lastUse)
-	c.tick = src.tick
 	c.mru = src.mru
 	c.stats = src.stats
 }

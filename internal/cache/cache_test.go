@@ -53,6 +53,11 @@ func TestLRUEviction(t *testing.T) {
 	if !c.Contains(d) {
 		t.Error("d not resident after allocation")
 	}
+	e := uint64(1536)
+	c.Access(e, false) // a is now LRU: recency keeps working after an eviction
+	if c.Contains(a) || !c.Contains(d) || !c.Contains(e) {
+		t.Error("second eviction did not take a, the least recently used line")
+	}
 }
 
 func TestDirtyWriteback(t *testing.T) {

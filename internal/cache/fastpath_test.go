@@ -8,9 +8,9 @@ import (
 )
 
 // refCache is an independent set-associative LRU model used to check that
-// the MRU fast path and the tick-wrap renormalization never change
-// observable behaviour. It keeps each set as a recency-ordered list, so it
-// has no MRU shortcut and no finite clock to wrap.
+// the recency-ordered sets and the MRU fast path never change observable
+// behaviour. It keeps each set as a freshly allocated recency list, so it
+// shares neither the packed tag array nor the MRU shortcut.
 type refCache struct {
 	sets     int
 	ways     int
@@ -57,11 +57,15 @@ func (r *refCache) access(addr uint64, write bool) (hit, writeback bool, wbAddr 
 }
 
 // randomStream drives cache and reference with the same accesses and fails
-// on the first divergence in (hit, writeback, wbAddr) or final stats.
+// on the first divergence in (hit, writeback, wbAddr) or final stats. The
+// addresses mix sub-line repeats, conflicts in one set, and random lines
+// over four times the capacity, so every geometry sees hits, fills of
+// empty ways and evictions.
 func randomStream(t *testing.T, c *Cache, seed int64, accesses int) {
 	t.Helper()
 	ref := newRefCache(c.Config())
 	rng := rand.New(rand.NewSource(seed))
+	setStride := uint64(c.sets) << c.lineBits
 	var hits, misses, wbs uint64
 	for i := 0; i < accesses; i++ {
 		var addr uint64
@@ -71,16 +75,16 @@ func randomStream(t *testing.T, c *Cache, seed int64, accesses int) {
 			// exercise the MRU filter.
 			addr = uint64(rng.Intn(256))
 		case 1:
-			addr = uint64(rng.Intn(4)) * 512 // same-set conflicts
+			addr = uint64(rng.Intn(c.ways+2)) * setStride // same-set conflicts
 		default:
-			addr = uint64(rng.Intn(1 << 14))
+			addr = uint64(rng.Intn(4 * c.cfg.Size))
 		}
 		write := rng.Intn(3) == 0
 		hit, wb, wbAddr := c.Access(addr, write)
 		rHit, rWb, rWbAddr := ref.access(addr, write)
 		if hit != rHit || wb != rWb || wbAddr != rWbAddr {
-			t.Fatalf("access %d (addr %#x write %v): got (%v %v %#x), reference (%v %v %#x)",
-				i, addr, write, hit, wb, wbAddr, rHit, rWb, rWbAddr)
+			t.Fatalf("%s access %d (addr %#x write %v): got (%v %v %#x), reference (%v %v %#x)",
+				c.cfg.Name, i, addr, write, hit, wb, wbAddr, rHit, rWb, rWbAddr)
 		}
 		if hit {
 			hits++
@@ -93,59 +97,51 @@ func randomStream(t *testing.T, c *Cache, seed int64, accesses int) {
 	}
 	s := c.Stats()
 	if s.Hits != hits || s.Misses != misses || s.Writebacks != wbs {
-		t.Fatalf("stats %+v disagree with observed %d hits / %d misses / %d writebacks",
-			s, hits, misses, wbs)
+		t.Fatalf("%s: stats %+v disagree with observed %d hits / %d misses / %d writebacks",
+			c.cfg.Name, s, hits, misses, wbs)
 	}
+	checkSets(t, c)
 }
 
-func TestAccessMatchesReferenceModel(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		randomStream(t, small(), seed, 20000)
-	}
-}
-
-func TestAccessMatchesReferenceAcrossTickWrap(t *testing.T) {
-	c := small()
-	// Park the clock just below the wrap so the stream crosses the
-	// renormalization mid-run.
-	c.tick = ^uint64(0) - 500
-	ref := newRefCache(c.Config())
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 5000; i++ {
-		addr := uint64(rng.Intn(1 << 13))
-		write := rng.Intn(3) == 0
-		hit, wb, wbAddr := c.Access(addr, write)
-		rHit, rWb, rWbAddr := ref.access(addr, write)
-		if hit != rHit || wb != rWb || wbAddr != rWbAddr {
-			t.Fatalf("access %d (addr %#x write %v) near tick wrap: got (%v %v %#x), reference (%v %v %#x)",
-				i, addr, write, hit, wb, wbAddr, rHit, rWb, rWbAddr)
+// checkSets checks the representation invariant of every set: valid ways
+// come before empty ones, each valid line maps to the set it sits in, and
+// no line appears twice.
+func checkSets(t *testing.T, c *Cache) {
+	t.Helper()
+	for set := 0; set < c.sets; set++ {
+		ways := c.tags[set*c.ways : (set+1)*c.ways]
+		seen := map[uint64]bool{}
+		empty := false
+		for i, tag := range ways {
+			if tag == 0 {
+				empty = true
+				continue
+			}
+			line := tag & tagLine
+			switch {
+			case empty:
+				t.Fatalf("%s set %d: valid way %d follows an empty way: %#x", c.cfg.Name, set, i, ways)
+			case tag&tagValid == 0:
+				t.Fatalf("%s set %d way %d: nonzero tag %#x without the valid bit", c.cfg.Name, set, i, tag)
+			case int(line)&(c.sets-1) != set:
+				t.Fatalf("%s set %d way %d: line %#x belongs to set %d", c.cfg.Name, set, i, line, int(line)&(c.sets-1))
+			case seen[line]:
+				t.Fatalf("%s set %d: line %#x appears twice: %#x", c.cfg.Name, set, line, ways)
+			}
+			seen[line] = true
 		}
 	}
-	if c.tick > 1<<32 {
-		t.Fatalf("tick %d did not wrap/renormalize", c.tick)
-	}
 }
 
-func TestTickWrapPreservesLRUOrder(t *testing.T) {
-	c := small()
-	// Three lines in set 0 of the 8-set cache (stride 512), two ways.
-	a, b, d, e := uint64(0), uint64(512), uint64(1024), uint64(1536)
-	c.Access(b, false)
-	c.tick = ^uint64(0) - 1
-	c.Access(a, false) // a now MRU at tick = max
-	c.Access(d, false) // clock wraps here; must still evict b, not a
-	if !c.Contains(a) {
-		t.Error("a evicted across tick wrap; it was MRU")
-	}
-	if c.Contains(b) {
-		t.Error("b survived; it was LRU at the wrap")
-	}
-	c.Access(e, false) // and recency must keep working after the wrap
-	if !c.Contains(d) {
-		t.Error("d evicted; a was older")
-	}
-	if c.Contains(a) {
-		t.Error("a survived second eviction; it was LRU after the wrap")
+// TestAccessMatchesReferenceModel runs the recency-list oracle against the
+// small test cache, the simulator's three L1 geometries and a 128 B-line
+// geometry.
+func TestAccessMatchesReferenceModel(t *testing.T) {
+	cfgs := append([]Config{small().Config(), {Name: "L1D-128B", Size: 64 << 10, Ways: 4, LineSize: 128}}, testConfigs()...)
+	for _, cfg := range cfgs {
+		for seed := int64(0); seed < 8; seed++ {
+			randomStream(t, New(cfg), seed, 20000)
+		}
 	}
 }
 

@@ -1,0 +1,125 @@
+package cache
+
+import (
+	"slices"
+	"testing"
+
+	"gopim/internal/dram"
+)
+
+// fuzzConfigs are the three hierarchies FuzzLineStream replays into: two
+// share the small L1 geometry (one HierarchySet group) over different
+// LLCs, the third has a direct-mapped L1 and no LLC.
+func fuzzConfigs() []func() *Hierarchy {
+	mk := func(l1 Config, l2 *Config) func() *Hierarchy {
+		return func() *Hierarchy {
+			var c2 *Cache
+			if l2 != nil {
+				c2 = New(*l2)
+			}
+			return NewHierarchy(New(l1), c2, dram.NewRowMeter())
+		}
+	}
+	l1 := small().Config()
+	return []func() *Hierarchy{
+		mk(l1, &Config{Name: "LLC", Size: 4 << 10, Ways: 4}),
+		mk(l1, &Config{Name: "LLC", Size: 2 << 10, Ways: 8}),
+		mk(Config{Name: "DM", Size: 512, Ways: 1}, nil),
+	}
+}
+
+// fuzzAccesses decodes one access per byte: bit 0 is the write flag and
+// the other seven bits the line index, so 128 lines contend for the
+// 16-line L1.
+func fuzzAccesses(data []byte) []lineAccess {
+	accs := make([]lineAccess, len(data))
+	for i, b := range data {
+		accs[i] = lineAccess{addr: uint64(b>>1) << 6, write: b&1 != 0}
+	}
+	return accs
+}
+
+// FuzzLineStream builds the decoded accesses into a LineStream and
+// requires the stream walker (Hierarchy.ReplayStream), the batched walker
+// (a three-member HierarchySet) and the per-access path to leave identical
+// tags, counters and DRAM meters; the stream's Len to equal the access
+// count; and the L1's hit, miss and writeback counts to equal the
+// recency-list oracle's.
+func FuzzLineStream(f *testing.F) {
+	var repeat, stride, conflict []byte
+	for i := 0; i < 64; i++ {
+		repeat = append(repeat, 0x20|byte(i/16&1))              // line 16, reads then writes
+		stride = append(stride, byte(i%40)<<1|byte(i/40))       // ascending lines, then writes
+		conflict = append(conflict, byte(i%5*8)<<1|byte(i%3/2)) // lines 0, 8, ... share set 0
+	}
+	descending := make([]byte, 48)
+	for i := range descending {
+		descending[i] = byte(127-i) << 1
+	}
+	// Read lines 0-7, write them again (hits away from the MRU line), then
+	// read lines 8-23, which map to the same sets and evict the dirty ones.
+	var reuse []byte
+	for _, write := range []byte{0, 1} {
+		for line := byte(0); line < 8; line++ {
+			reuse = append(reuse, line<<1|write)
+		}
+	}
+	for line := byte(8); line < 24; line++ {
+		reuse = append(reuse, line<<1)
+	}
+	for _, seed := range [][]byte{repeat, stride, conflict, descending, reuse, slices.Concat(stride, conflict)} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		accs := fuzzAccesses(data)
+		var b StreamBuilder
+		for _, a := range accs {
+			b.Access(a.addr, a.write)
+		}
+		s := b.Finish()
+		if got := s.Len(); got != uint64(len(accs)) {
+			t.Fatalf("stream Len %d, want %d accesses", got, len(accs))
+		}
+
+		cfgs := fuzzConfigs()
+		batched := make([]*Hierarchy, len(cfgs))
+		for i, mk := range cfgs {
+			batched[i] = mk()
+		}
+		NewHierarchySet(batched).ReplayStreamBatch(&s)
+		for i, mk := range cfgs {
+			serial, each := mk(), mk()
+			serial.ReplayStream(&s)
+			replayReference(each, accs)
+			for _, h := range []*Hierarchy{batched[i], each} {
+				if !equalCacheState(h.L1, serial.L1) || (serial.L2 != nil && !equalCacheState(h.L2, serial.L2)) {
+					t.Fatalf("config %d: cache state diverged from the stream walk", i)
+				}
+				mh, ms := h.Mem.(*dram.RowMeter), serial.Mem.(*dram.RowMeter)
+				if mh.Traffic() != ms.Traffic() || mh.RowStats() != ms.RowStats() {
+					t.Fatalf("config %d: DRAM meter diverged from the stream walk", i)
+				}
+			}
+			checkSets(t, serial.L1)
+		}
+
+		ref := newRefCache(small().Config())
+		var want Stats
+		for _, a := range accs {
+			hit, wb, _ := ref.access(a.addr, a.write)
+			if hit {
+				want.Hits++
+			} else {
+				want.Misses++
+			}
+			if wb {
+				want.Writebacks++
+			}
+		}
+		got := batched[0].L1.Stats()
+		if got.Hits != want.Hits || got.Misses != want.Misses || got.Writebacks != want.Writebacks {
+			t.Fatalf("L1 hits/misses/writebacks %d/%d/%d, reference %d/%d/%d",
+				got.Hits, got.Misses, got.Writebacks, want.Hits, want.Misses, want.Writebacks)
+		}
+	})
+}

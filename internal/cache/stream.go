@@ -46,8 +46,13 @@ func (s *LineStream) Words() int { return len(s.prog) }
 // greedily collapsing consecutive accesses with the same write flag:
 // repeats of one line extend a delta-0 run, and constant-stride line walks
 // extend a stride run. The zero value is ready to use.
+//
+// Runs are written into fixed-size chunks, reused from one stream to the
+// next, and Finish copies them into a program of exact length: no run is
+// moved while a stream grows, and no stream keeps append slack.
 type StreamBuilder struct {
-	prog []uint64
+	chunks [][]uint64 // chunks[:full] are full; chunks[full] (if any) is being filled
+	full   int
 
 	// Pending run state. n == 0 means no pending run; delta is only
 	// meaningful once n >= 2.
@@ -57,6 +62,10 @@ type StreamBuilder struct {
 	n     uint64
 	write bool
 }
+
+// chunkWords is the size of one StreamBuilder chunk: 64 KiB, an even
+// number of words, so a two-word run never straddles chunks.
+const chunkWords = 8 << 10
 
 // Access appends one access to the line containing addr. addr must be
 // line-aligned (the compiler expands spans to line addresses).
@@ -97,7 +106,14 @@ func (b *StreamBuilder) flush() {
 	if b.write {
 		w = 1
 	}
-	b.prog = append(b.prog, b.n<<33|d<<1|w, b.start)
+	if b.full == len(b.chunks) {
+		b.chunks = append(b.chunks, make([]uint64, 0, chunkWords))
+	}
+	c := append(b.chunks[b.full], b.n<<33|d<<1|w, b.start)
+	b.chunks[b.full] = c
+	if len(c) == chunkWords {
+		b.full++
+	}
 	b.n = 0
 }
 
@@ -105,9 +121,17 @@ func (b *StreamBuilder) flush() {
 // reused for the next stream.
 func (b *StreamBuilder) Finish() LineStream {
 	b.flush()
-	s := LineStream{prog: b.prog}
-	b.prog = nil
-	return s
+	words := b.full * chunkWords
+	if b.full < len(b.chunks) {
+		words += len(b.chunks[b.full])
+	}
+	prog := make([]uint64, 0, words)
+	for i, c := range b.chunks {
+		prog = append(prog, c...)
+		b.chunks[i] = c[:0]
+	}
+	b.full = 0
+	return LineStream{prog: prog}
 }
 
 // ReplayStream drives a compiled line stream through the hierarchy,
@@ -142,82 +166,18 @@ func (h *Hierarchy) accessRepeat(addr uint64, write bool, n uint64) {
 }
 
 // accessRun issues n accesses starting at addr, advancing delta bytes per
-// access. It computes exactly what n successive Access calls would — same
-// stats, LRU, dirty, and fill events — with the run-invariant bookkeeping
-// hoisted: the read/write tally and tick range are applied in bulk, and the
-// MRU filter is skipped (it is a pure shortcut of the scan hit, and within
-// a run consecutive accesses touch distinct lines).
+// access: exactly what n successive Access calls would do, with the
+// read/write tally added in bulk and the MRU check skipped (within a run
+// consecutive accesses touch distinct lines).
 func (h *Hierarchy) accessRun(addr uint64, write bool, n uint64, delta int64) {
 	l1 := h.L1
-	if l1.tick+n < l1.tick {
-		// The LRU clock would wrap inside the run (needs 2^64 prior
-		// accesses): take the per-access path, which renormalizes.
-		for ; n > 0; n-- {
-			hit, wb, wbAddr := l1.Access(addr, write)
-			if !hit {
-				h.fill(addr, wb, wbAddr)
-			}
-			addr += uint64(delta)
-		}
-		return
-	}
-	l1.stats.Accesses += n
-	if write {
-		l1.stats.Writes += n
-	} else {
-		l1.stats.Reads += n
-	}
-	tick := l1.tick
-	setMask := uint64(l1.sets - 1)
-	ways := l1.ways
+	l1.count(write, n)
 	for ; n > 0; n-- {
-		tick++
-		line := addr >> l1.lineBits
-		want := line | tagValid
-		base := int(line&setMask) * ways
-		tags := l1.tags[base : base+ways]
-		lastUse := l1.lastUse[base : base+ways]
-		victim := 0
-		hit := false
-		for i, t := range tags {
-			if t&^uint64(tagDirty) == want {
-				lastUse[i] = tick
-				if write {
-					tags[i] |= tagDirty
-				}
-				l1.mru = base + i
-				l1.stats.Hits++
-				hit = true
-				break
-			}
-			if t&tagValid == 0 {
-				victim = i
-			} else if tags[victim]&tagValid != 0 && lastUse[i] < lastUse[victim] {
-				victim = i
-			}
-		}
-		if !hit {
-			l1.stats.Misses++
-			var wb bool
-			var wbAddr uint64
-			if t := tags[victim]; t&(tagValid|tagDirty) == tagValid|tagDirty {
-				wb = true
-				wbAddr = (t & tagLine) << l1.lineBits
-				l1.stats.Writebacks++
-			}
-			newTag := want
-			if write {
-				newTag |= tagDirty
-			}
-			tags[victim] = newTag
-			lastUse[victim] = tick
-			l1.mru = base + victim
-			l1.tick = tick // fill never reads L1 state, but keep it coherent
+		if hit, wb, wbAddr := l1.lookup(addr>>l1.lineBits, write); !hit {
 			h.fill(addr, wb, wbAddr)
 		}
 		addr += uint64(delta)
 	}
-	l1.tick = tick
 }
 
 // String summarizes the stream for diagnostics.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -11,9 +12,11 @@ import (
 
 // API is the HTTP surface over a Server — the pimsimd wire protocol:
 //
-//	POST   /jobs             submit a JobSpec; 202 + Status on admission,
-//	                         400 bad spec, 413 body over maxSpecBytes,
-//	                         429 queue full, 503 shutting down
+//	POST   /jobs             submit a JobSpec (the whole body: only
+//	                         whitespace may follow it); 202 + Status on
+//	                         admission, 400 bad spec or data after it,
+//	                         413 body over maxSpecBytes, 429 queue full,
+//	                         503 shutting down
 //	GET    /jobs             list jobs in submission order
 //	GET    /jobs/{id}        poll one job's Status
 //	GET    /jobs/{id}/result the job's result bytes (text/plain) once done;
@@ -145,7 +148,16 @@ func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var sp JobSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sp); err != nil {
+	err := dec.Decode(&sp)
+	if err == nil {
+		// The spec must be the whole body: only whitespace may follow it.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("data after the job spec")
+		}
+	}
+	if err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

@@ -420,11 +420,14 @@ func TestHTTPAPI(t *testing.T) {
 
 	// Bad submissions map to 400 and a body over maxSpecBytes to 413, in
 	// the JSON error shape, and admit no job. A bad spec of exactly the
-	// bound, padded through its tenant name, is still decoded.
+	// bound, padded through its tenant name, is still decoded. A valid
+	// spec followed by a second value, or by trailing bytes past the
+	// bound, is rejected as a whole.
 	padded := func(size int) string {
 		const spec = `{"kind":"run","experiments":["fig999"],"tenant":"%s"}`
 		return fmt.Sprintf(spec, strings.Repeat("x", size-len(spec)+2))
 	}
+	const valid = `{"kind":"run","experiments":["table1"]}`
 	for _, c := range []struct {
 		body string
 		want int
@@ -434,6 +437,9 @@ func TestHTTPAPI(t *testing.T) {
 		{`{"kind":"run","bogus":1}`, http.StatusBadRequest},
 		{padded(maxSpecBytes), http.StatusBadRequest},
 		{padded(maxSpecBytes + 1), http.StatusRequestEntityTooLarge},
+		{valid + "\n" + valid, http.StatusBadRequest},
+		{valid + " x", http.StatusBadRequest},
+		{valid + strings.Repeat(" ", maxSpecBytes), http.StatusRequestEntityTooLarge},
 	} {
 		resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {
@@ -451,8 +457,9 @@ func TestHTTPAPI(t *testing.T) {
 		t.Errorf("rejected submissions admitted %d jobs", n)
 	}
 
+	// Whitespace after the spec is allowed.
 	spec, _ := json.Marshal(JobSpec{Kind: "run", Experiments: names, Tenant: "http-test"})
-	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(spec))
+	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(append(spec, " \n"...)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,17 @@ type HWParams struct {
 // hardware ME reuses its search window across adjacent macro-blocks in
 // SRAM; reuse leaves roughly one window-row of new pixels per macro-block
 // column step per reference, which the windowReuse factor models.
+//
+// The result is computed once per clip (it LZO-compresses every recon
+// frame) and kept on the clip, so the clip must not change after the first
+// call; CodeClip sets every field before it returns the clip. Safe for
+// concurrent use.
 func MeasureHWParams(clip *CodedClip) HWParams {
+	clip.hwOnce.Do(func() { clip.hw = measureHWParams(clip) })
+	return clip.hw
+}
+
+func measureHWParams(clip *CodedClip) HWParams {
 	st := clip.EncStats
 	var p HWParams
 	if st.MC.PixelsProduced > 0 {

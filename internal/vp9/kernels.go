@@ -3,6 +3,7 @@ package vp9
 import (
 	"fmt"
 	"hash/fnv"
+	"sync"
 
 	"gopim/internal/mem"
 	"gopim/internal/profile"
@@ -25,6 +26,9 @@ type CodedClip struct {
 	EncStats  Stats
 
 	fingerprint string // content hash, set by CodeClip; keys the trace cache
+
+	hwOnce sync.Once
+	hw     HWParams // MeasureHWParams' result, computed once per clip
 }
 
 // Fingerprint returns a string identifying the clip's content for

@@ -146,6 +146,19 @@ func TestMeasureHWParams(t *testing.T) {
 	}
 }
 
+// TestMeasureHWParamsMemoized checks that the per-clip result is computed
+// once: a second call returns the first call's value without allocating.
+func TestMeasureHWParamsMemoized(t *testing.T) {
+	clip := testClip(t)
+	first := MeasureHWParams(clip)
+	if got := MeasureHWParams(clip); got != first {
+		t.Fatalf("second call %+v, first %+v", got, first)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { MeasureHWParams(clip) }); allocs != 0 {
+		t.Errorf("memoized MeasureHWParams allocates %.0f times per call, want 0", allocs)
+	}
+}
+
 func TestHWDecodeTrafficShape(t *testing.T) {
 	clip := testClip(t)
 	p := MeasureHWParams(clip)

@@ -32,6 +32,13 @@ go test -race -count=1 -run 'TestReplayEquivalence|TestCache' ./internal/trace
 # byte-identical to K independent serial walks, at both layers.
 go test -race -count=1 -run 'TestReplayStreamBatch|TestReplayBatch|TestHierarchySet' ./internal/cache ./internal/trace
 
+# Line-stream fuzz smoke: decoded access sequences must leave the stream,
+# batched and per-access walkers in identical state and agree with the
+# recency-list oracle (plain `go test` runs only the seed corpus). A short
+# minimize time keeps the 20 s on new inputs rather than on shrinking the
+# ones that widened coverage.
+go test -run '^$' -fuzz FuzzLineStream -fuzztime 20s -fuzzminimizetime 1s ./internal/cache
+
 # Batched-replay perf gate: pricing the K=8 sweep family in one walk must
 # be at least 2x faster than 8 serial replays (no -race: it times).
 GOPIM_PERF_GATE=1 go test -count=1 -run TestBatchReplaySpeedup -v ./internal/trace
