@@ -81,7 +81,9 @@ func (s *HierarchySet) Groups() int { return len(s.groups) }
 // Hierarchy.ReplayStream walk. Each RLE run is decoded once and applied
 // config-major: the full run against group 0's caches, then group 1's, and
 // so on — run decode and per-run bookkeeping are paid per run, not per
-// (run, config).
+// (run, config). A loop runs to completion against one group before the
+// next, each group leaving the walk when its own lead L1 hits throughout
+// an iteration (Hierarchy.loop).
 func (s *HierarchySet) ReplayStreamBatch(ls *LineStream) {
 	prog := ls.prog
 	for i := 0; i+1 < len(prog); i += 2 {
@@ -91,9 +93,12 @@ func (s *HierarchySet) ReplayStreamBatch(ls *LineStream) {
 		write := w0&1 != 0
 		for gi := range s.groups {
 			g := &s.groups[gi]
-			if delta == 0 {
+			switch {
+			case n == 0:
+				g.loop(loopBody(prog, i), addr)
+			case delta == 0:
 				g.accessRepeat(addr, write, n)
-			} else {
+			default:
 				g.accessRun(addr, write, n, delta)
 			}
 		}
@@ -120,6 +125,30 @@ func (s *HierarchySet) syncState() {
 func (g *l1Group) fill(line uint64, wb bool, wbAddr uint64) {
 	for _, h := range g.members {
 		h.fill(line, wb, wbAddr)
+	}
+}
+
+// loop is Hierarchy.loop against the group: the lead L1 walks extra more
+// iterations of body until one misses nowhere, and counts the rest in one
+// step.
+func (g *l1Group) loop(body []uint64, extra uint64) {
+	l1 := g.lead
+	for ; extra > 0; extra-- {
+		misses := l1.stats.Misses
+		for i := 0; i < len(body); i += 2 {
+			w0, addr := body[i], body[i+1]
+			n := w0 >> 33
+			delta := int64(int32(uint32(w0 >> 1)))
+			if delta == 0 {
+				g.accessRepeat(addr, w0&1 != 0, n)
+			} else {
+				g.accessRun(addr, w0&1 != 0, n, delta)
+			}
+		}
+		if l1.stats.Misses == misses {
+			l1.countHits(body, extra-1)
+			return
+		}
 	}
 }
 

@@ -146,6 +146,24 @@ func (c *Cache) count(write bool, n uint64) {
 	}
 }
 
+// countHits adds passes iterations of body, a loop's group of plain runs
+// (see LineStream), that hit throughout: each adds the group's accesses,
+// all hits, to the counters.
+func (c *Cache) countHits(body []uint64, passes uint64) {
+	var reads, writes uint64
+	for i := 0; i < len(body); i += 2 {
+		if body[i]&1 != 0 {
+			writes += body[i] >> 33
+		} else {
+			reads += body[i] >> 33
+		}
+	}
+	c.stats.Accesses += passes * (reads + writes)
+	c.stats.Hits += passes * (reads + writes)
+	c.stats.Reads += passes * reads
+	c.stats.Writes += passes * writes
+}
+
 // Access looks up the line containing addr, allocating it on a miss.
 // It returns whether the access hit and, if a dirty line was evicted, its
 // address (wbAddr) with writeback=true.

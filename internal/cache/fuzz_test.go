@@ -39,12 +39,22 @@ func fuzzAccesses(data []byte) []lineAccess {
 	return accs
 }
 
+// repeatGroup returns k back-to-back copies of the accesses in group.
+func repeatGroup(k int, group ...byte) []byte {
+	var out []byte
+	for i := 0; i < k; i++ {
+		out = append(out, group...)
+	}
+	return out
+}
+
 // FuzzLineStream builds the decoded accesses into a LineStream and
-// requires the stream walker (Hierarchy.ReplayStream), the batched walker
-// (a three-member HierarchySet) and the per-access path to leave identical
-// tags, counters and DRAM meters; the stream's Len to equal the access
-// count; and the L1's hit, miss and writeback counts to equal the
-// recency-list oracle's.
+// requires the stream to decode back to them, its Len to equal the access
+// count and the reused builder to encode them again the same; the stream
+// walker (Hierarchy.ReplayStream), the batched walker (a three-member
+// HierarchySet) and the per-access path to leave identical tags, counters
+// and DRAM meters; and the L1's hit, miss and writeback counts to equal
+// the recency-list oracle's.
 func FuzzLineStream(f *testing.F) {
 	var repeat, stride, conflict []byte
 	for i := 0; i < 64; i++ {
@@ -67,7 +77,27 @@ func FuzzLineStream(f *testing.F) {
 	for line := byte(8); line < 24; line++ {
 		reuse = append(reuse, line<<1)
 	}
-	for _, seed := range [][]byte{repeat, stride, conflict, descending, reuse, slices.Concat(stride, conflict)} {
+	// Groups of runs repeated back to back, which the builder folds into
+	// loops. loopFit's lines fit the 8x2 L1 (sets 0-4, 6, 7), so every
+	// iteration after the second is counted in bulk; loopOverflow puts
+	// lines 0, 8 and 16 in set 0, so every iteration misses and both
+	// walkers walk them all; loopMixed mixes write repeats, read and
+	// write strides and a single access, and ends inside an iteration.
+	loopFit := repeatGroup(5, 0<<1, 1<<1, 2<<1, 3<<1, 12<<1|1, 12<<1|1, 22<<1, 23<<1)
+	loopOverflow := repeatGroup(4, 0<<1, 8<<1, 16<<1, 5<<1|1, 5<<1|1, 30<<1, 31<<1)
+	mixedGroup := []byte{40<<1 | 1, 40<<1 | 1, 40<<1 | 1, 41 << 1, 42 << 1, 43 << 1, 44 << 1, 50<<1 | 1, 52<<1 | 1, 54<<1 | 1, 7 << 1}
+	loopMixed := slices.Concat([]byte{100 << 1}, repeatGroup(6, mixedGroup...), mixedGroup[:7], []byte{90 << 1, 91<<1 | 1})
+	// Runs of two lines, three kinds, in an order whose last loop's
+	// unfinished iteration ends in three equal runs: closing that loop,
+	// at the end of the stream or at a run that breaks it, opens a
+	// shorter one.
+	var nested []byte
+	for _, kind := range []byte{0, 1, 1, 2, 1, 0, 1, 1, 1, 0, 2, 1, 0, 1, 1, 1, 0, 2, 1, 0, 1, 1, 1, 0, 2, 1, 0, 1, 1, 1} {
+		line := 10 + 20*kind
+		nested = append(nested, line<<1, (line+1)<<1)
+	}
+	for _, seed := range [][]byte{repeat, stride, conflict, descending, reuse, slices.Concat(stride, conflict),
+		loopFit, loopOverflow, loopMixed, nested, slices.Concat(nested, []byte{50 << 1, 51 << 1})} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -79,6 +109,15 @@ func FuzzLineStream(f *testing.F) {
 		s := b.Finish()
 		if got := s.Len(); got != uint64(len(accs)) {
 			t.Fatalf("stream Len %d, want %d accesses", got, len(accs))
+		}
+		if !slices.Equal(expand(&s), accs) {
+			t.Fatalf("stream does not decode to the accesses it was built from")
+		}
+		for _, a := range accs {
+			b.Access(a.addr, a.write)
+		}
+		if again := b.Finish(); !slices.Equal(again.prog, s.prog) {
+			t.Fatalf("the reused builder encoded the same accesses differently")
 		}
 
 		cfgs := fuzzConfigs()

@@ -201,6 +201,141 @@ func TestStreamBuilderEncoding(t *testing.T) {
 	}
 }
 
+// TestLoopEncodingAndReplay repeats a group of three runs seven times: it
+// must encode as the three runs plus one loop pair, and the stream walker
+// and a three-member HierarchySet must leave every L1, LLC and DRAM meter
+// in the per-access path's state. The group either fits the 8x2 L1, so
+// iterations after the second count in bulk, or puts three lines in one
+// of its sets, so every iteration misses and is walked; the third member's
+// direct-mapped 4-set L1 overflows on both. Both line sizes the simulator
+// compiles for are covered.
+func TestLoopEncodingAndReplay(t *testing.T) {
+	const runs, iterations = 3, 7
+	for _, ls := range []uint64{64, 128} {
+		// Each group is a read stride, a write repeat and a two-line read
+		// stride, given as line indices.
+		for name, group := range map[string][]lineAccess{
+			"fits":      {{0, false}, {1, false}, {2, false}, {3, false}, {12, true}, {12, true}, {22, false}, {23, false}},
+			"overflows": {{0, false}, {8, false}, {16, false}, {5, true}, {5, true}, {30, false}, {31, false}},
+		} {
+			var accs []lineAccess
+			for i := 0; i < iterations; i++ {
+				for _, a := range group {
+					accs = append(accs, lineAccess{a.addr * ls, a.write})
+				}
+			}
+			var b StreamBuilder
+			for _, a := range accs {
+				b.Access(a.addr, a.write)
+			}
+			s := b.Finish()
+			if s.Words() != 2*runs+2 || s.Len() != uint64(len(accs)) {
+				t.Fatalf("%s at %d B: %d words, %d accesses; want %d words, %d accesses",
+					name, ls, s.Words(), s.Len(), 2*runs+2, len(accs))
+			}
+
+			l1 := Config{Name: "L1", Size: 16 * int(ls), Ways: 2, LineSize: int(ls)}
+			mk := []func() *Hierarchy{
+				func() *Hierarchy {
+					return NewHierarchy(New(l1), New(Config{Name: "LLC", Size: 64 * int(ls), Ways: 4, LineSize: int(ls)}), dram.NewRowMeter())
+				},
+				func() *Hierarchy {
+					return NewHierarchy(New(l1), New(Config{Name: "LLC", Size: 32 * int(ls), Ways: 8, LineSize: int(ls)}), dram.NewRowMeter())
+				},
+				func() *Hierarchy {
+					return NewHierarchy(New(Config{Name: "DM", Size: 4 * int(ls), Ways: 1, LineSize: int(ls)}), nil, dram.NewRowMeter())
+				},
+			}
+			batched := make([]*Hierarchy, len(mk))
+			for i := range mk {
+				batched[i] = mk[i]()
+			}
+			NewHierarchySet(batched).ReplayStreamBatch(&s)
+			for i := range mk {
+				serial, each := mk[i](), mk[i]()
+				serial.ReplayStream(&s)
+				replayReference(each, accs)
+				for walker, h := range map[string]*Hierarchy{"stream": serial, "batched": batched[i]} {
+					if !equalCacheState(h.L1, each.L1) || (h.L2 != nil && !equalCacheState(h.L2, each.L2)) {
+						t.Fatalf("%s at %d B, config %d: %s walker's cache state differs from the per-access path's",
+							name, ls, i, walker)
+					}
+					mh, me := h.Mem.(*dram.RowMeter), each.Mem.(*dram.RowMeter)
+					if mh.Traffic() != me.Traffic() || mh.RowStats() != me.RowStats() {
+						t.Fatalf("%s at %d B, config %d: %s walker's DRAM meter differs from the per-access path's",
+							name, ls, i, walker)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLoopAcrossChunks places a repeated group at every offset around the
+// builder's first chunk boundary, so loops open, grow and close across it
+// and retracted copies straddle it: the stream must decode to exactly the
+// accesses built and replay like the per-access path.
+func TestLoopAcrossChunks(t *testing.T) {
+	group := []lineAccess{{0, false}, {64, false}, {128, false}, {192, false}, {768, true}, {768, true}, {1408, false}, {1472, false}}
+	for fill := chunkWords/2 - 12; fill <= chunkWords/2+2; fill++ {
+		// fill two-line runs that never repeat, then seven and a half
+		// iterations of the group.
+		var accs []lineAccess
+		for i := 0; i < fill; i++ {
+			line := uint64(1<<20 + 4*i*64)
+			accs = append(accs, lineAccess{line, false}, lineAccess{line + 64, false})
+		}
+		for i := 0; i < 7; i++ {
+			accs = append(accs, group...)
+		}
+		accs = append(accs, group[:5]...)
+		var b StreamBuilder
+		for _, a := range accs {
+			b.Access(a.addr, a.write)
+		}
+		s := b.Finish()
+		if got := expand(&s); !slices.Equal(got, accs) {
+			t.Fatalf("fill %d: the stream decodes to %d accesses that differ from the %d built", fill, len(got), len(accs))
+		}
+		if s.Len() != uint64(len(accs)) {
+			t.Fatalf("fill %d: Len %d, want %d", fill, s.Len(), len(accs))
+		}
+		l1 := Config{Name: "L1", Size: 4 << 10, Ways: 2}
+		hs := NewHierarchy(New(l1), nil, dram.NewRowMeter())
+		hr := NewHierarchy(New(l1), nil, dram.NewRowMeter())
+		hs.ReplayStream(&s)
+		replayReference(hr, accs)
+		if !equalCacheState(hs.L1, hr.L1) || hs.Mem.(*dram.RowMeter).Traffic() != hr.Mem.(*dram.RowMeter).Traffic() {
+			t.Fatalf("fill %d: stream replay differs from the per-access path", fill)
+		}
+	}
+}
+
+// expand decodes a stream back into its line accesses, loops unrolled.
+func expand(s *LineStream) []lineAccess {
+	var out []lineAccess
+	var walk func(prog []uint64)
+	walk = func(prog []uint64) {
+		for i := 0; i < len(prog); i += 2 {
+			w0, addr := prog[i], prog[i+1]
+			n := w0 >> 33
+			if n == 0 {
+				for k := uint64(0); k < addr; k++ {
+					walk(loopBody(prog, i))
+				}
+				continue
+			}
+			delta := int64(int32(uint32(w0 >> 1)))
+			for ; n > 0; n-- {
+				out = append(out, lineAccess{addr, w0&1 != 0})
+				addr += uint64(delta)
+			}
+		}
+	}
+	walk(s.prog)
+	return out
+}
+
 // TestStreamBuilderRunLengthCap seeds a pending run at the encoding's count
 // limit and verifies the next access starts a fresh run instead of
 // overflowing the 31-bit count field.

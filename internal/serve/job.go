@@ -269,6 +269,22 @@ func (j *Job) finish(st JobState, err error) {
 	j.cancel()
 }
 
+// finishFromMemo finishes the job from its cells' memoized results, the
+// way a runner would: chunks in spec order, stopping at the first
+// memoized error, which fails the job. It returns how many cells it
+// answered and whether the job failed.
+func (j *Job) finishFromMemo(results []memoResult) (answered int, failed bool) {
+	for i, r := range results {
+		if r.err != nil {
+			j.finish(StateFailed, r.err)
+			return i + 1, true
+		}
+		j.appendChunk(j.cells[i].name, r.out)
+	}
+	j.finish(StateDone, nil)
+	return len(results), false
+}
+
 // Cancel asks the job to stop; the runner observes the context and
 // finishes it as canceled. Canceling a finished job is a no-op.
 func (j *Job) Cancel() { j.cancel() }

@@ -160,6 +160,32 @@ func (m *memo) result(e *memoEntry) (out []byte, err error, ok bool) {
 	return e.out, e.err, true
 }
 
+// memoResult is one completed cell's memoized output.
+type memoResult struct {
+	out []byte
+	err error
+}
+
+// completed returns the results memoized for cells, in order, and marks
+// each most recently used, if every cell is a completed entry; otherwise
+// it returns nil and changes nothing.
+func (m *memo) completed(cells []cell) []memoResult {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]memoResult, len(cells))
+	for i, c := range cells {
+		e, ok := m.entries[c.key]
+		if !ok || e.inflight {
+			return nil
+		}
+		out[i] = memoResult{e.out, e.err}
+	}
+	for _, c := range cells {
+		m.touchLocked(c.key)
+	}
+	return out
+}
+
 // touchLocked moves a completed key to the MRU end of the eviction order.
 func (m *memo) touchLocked(key string) {
 	for i, k := range m.order {

@@ -148,7 +148,9 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // Submit validates, registers and enqueues a job. It never blocks: a full
 // queue fails fast with ErrQueueFull, a closed server with ErrClosed, a
 // bad spec with the validation error. On success the job is admitted —
-// Close will wait for it.
+// Close will wait for it. A job whose every cell is already in the memo
+// is answered here instead: it returns finished, without taking a queue
+// slot or waiting for a runner.
 func (s *Server) Submit(sp JobSpec) (*Job, error) {
 	s.reg.Counter("serve.jobs.submitted").Add(1)
 	if err := sp.normalize(); err != nil {
@@ -159,6 +161,13 @@ func (s *Server) Submit(sp JobSpec) (*Job, error) {
 	// construction is cheap but has a deep call graph, and the critical
 	// section should only cover the registration bookkeeping.
 	j := newJob(s.root, "", sp, s.cells(sp))
+	// A memo-only job is finished before it is registered, so no reader
+	// ever sees it queued.
+	memoized := s.memo.completed(j.cells)
+	answered, failed := 0, false
+	if memoized != nil {
+		answered, failed = j.finishFromMemo(memoized)
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -171,8 +180,22 @@ func (s *Server) Submit(sp JobSpec) (*Job, error) {
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.trimHistoryLocked()
-	s.jobsWG.Add(1)
+	if memoized == nil {
+		s.jobsWG.Add(1)
+	}
 	s.mu.Unlock()
+
+	if memoized != nil {
+		s.reg.Counter("serve.cells.requests").Add(int64(answered))
+		s.reg.Counter("serve.cells.memo_hits").Add(int64(answered))
+		s.reg.Counter("serve.jobs.accepted").Add(1)
+		if failed {
+			s.reg.Counter("serve.jobs.failed").Add(1)
+		} else {
+			s.reg.Counter("serve.jobs.completed").Add(1)
+		}
+		return j, nil
+	}
 
 	select {
 	case s.queue <- j:

@@ -292,6 +292,92 @@ func TestSubmitBackpressure(t *testing.T) {
 	}
 }
 
+// TestMemoOnlyJobAnsweredAtAdmission pins admission-time answers: with
+// the only runner busy and the queue full, a spec whose every cell is
+// memoized is still admitted, returns from Submit done, and carries the
+// bytes its first computation produced.
+func TestMemoOnlyJobAnsweredAtAdmission(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := NewServer(Config{JobWorkers: 1, QueueCap: 1, Traces: trace.NewCache(), Reg: reg})
+	defer s.Close()
+	spec := JobSpec{Kind: "run", Experiments: []string{"table1"}}
+	first, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, first)
+	want, err := first.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Occupy the runner and the one queue slot with jobs whose cell
+	// blocks until released (before Close drains them).
+	release := make(chan struct{})
+	defer close(release)
+	started := make(chan struct{}, 2)
+	block := func(name string) {
+		j := newJob(s.root, name, JobSpec{Kind: "run"}, []cell{{name: name, key: "block|" + name,
+			compute: func(ctx context.Context) ([]byte, error) {
+				started <- struct{}{}
+				select {
+				case <-release:
+				case <-ctx.Done():
+				}
+				return nil, nil
+			}}})
+		s.jobsWG.Add(1)
+		s.queue <- j
+	}
+	block("busy")
+	<-started
+	block("queued")
+	if _, err := s.Submit(JobSpec{Kind: "run", Experiments: []string{"fig1"}}); err != ErrQueueFull {
+		t.Fatalf("submit with the runner busy and the queue full: err = %v, want ErrQueueFull", err)
+	}
+
+	before := reg.Snapshot().Counters
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatalf("memo-only submit with the runner busy and the queue full: %v", err)
+	}
+	if st := j.Status(); st.State != StateDone || st.ChunksDone != 1 {
+		t.Fatalf("memo-only job returned %s with %d chunks, want done with 1", st.State, st.ChunksDone)
+	}
+	got, err := j.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("memo-only job bytes differ from the first computation's:\n got %q\nwant %q", got, want)
+	}
+	after := reg.Snapshot().Counters
+	for _, name := range []string{"serve.cells.requests", "serve.cells.memo_hits"} {
+		if d := after[name] - before[name]; d != 1 {
+			t.Errorf("%s rose by %d, want 1", name, d)
+		}
+	}
+}
+
+// TestMemoizedErrorFailsAtAdmission: a memo-only job whose cell memoized
+// an error fails at admission with that error and is never queued.
+func TestMemoizedErrorFailsAtAdmission(t *testing.T) {
+	s := newIdleServer(1)
+	defer drainIdle(s)
+	e, _ := s.memo.acquire(s.root, "run|quick|fig1")
+	s.memo.complete(e, nil, fmt.Errorf("fig1: memoized failure"))
+	j, err := s.Submit(JobSpec{Kind: "run", Experiments: []string{"fig1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Status(); st.State != StateFailed || !strings.Contains(st.Error, "memoized failure") {
+		t.Fatalf("status = %+v, want failed with the memoized error", st)
+	}
+	if n := len(s.queue); n != 0 {
+		t.Fatalf("a memo-only job took a queue slot: %d queued", n)
+	}
+}
+
 func TestCancelQueuedJob(t *testing.T) {
 	s := newIdleServer(4)
 	defer drainIdle(s)

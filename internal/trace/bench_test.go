@@ -5,6 +5,7 @@ import (
 
 	"gopim/internal/kernels/texture"
 	"gopim/internal/profile"
+	"gopim/internal/vp9"
 )
 
 // BenchmarkTraceReplay measures replaying a recorded texture-tiling trace
@@ -16,6 +17,22 @@ func BenchmarkTraceReplay(b *testing.B) {
 	profile.Record(profile.SoC(), k, rec)
 	tr := rec.Finish()
 	b.ReportMetric(float64(tr.Words()*8), "trace-bytes")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Replay(profile.PIMCore())
+	}
+}
+
+// BenchmarkTraceReplayME replays the test clip's motion-estimation trace
+// into a fresh PIM-core hierarchy. Motion search re-reads groups of runs
+// back to back, so unlike texture tiling its compiled stream is mostly
+// loops.
+func BenchmarkTraceReplayME(b *testing.B) {
+	k := vp9.MEKernel(testClip)
+	rec := NewRecorder(k.Name())
+	profile.Record(profile.SoC(), k, rec)
+	tr := rec.Finish()
+	b.ReportMetric(float64(tr.CompiledWords(64)*8), "stream-bytes")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Replay(profile.PIMCore())

@@ -14,7 +14,8 @@
 // compile therefore lowers the packed span events once per line size into
 // per-phase segments: a run-length-encoded cache.LineStream (consecutive
 // same-line accesses collapse to repeat triples, constant-stride line
-// walks to stride runs), pre-summed hardware-independent counters, and
+// walks to stride runs, groups of runs repeated back to back to loops),
+// pre-summed hardware-independent counters, and
 // span-ref groups aggregated by (rowBytes, width class). Replaying a
 // segment is then SetPhase + AddCounters + O(groups) ref pricing +
 // Hierarchy.ReplayStream — the per-event decode switch, buffer

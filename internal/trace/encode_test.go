@@ -126,30 +126,72 @@ func TestDecodeDetectsTruncation(t *testing.T) {
 // matching header — and decode must fail cleanly rather than panic slicing
 // past the payload.
 func TestDecodeRejectsOversizedStringLength(t *testing.T) {
-	for _, payload := range [][]byte{
-		{0x05, 'a', 'b', 'c', 'd'}, // length 5, 4 bytes remain post-varint
-		{0x01},                     // length 1, nothing remains
-		{0xff, 0x01},               // two-byte varint (127+... = 255), 0 remain
-	} {
-		data := make([]byte, storeHeaderLen+len(payload))
-		copy(data[storeHeaderLen:], payload)
-		h := fnv.New64a()
-		h.Write(payload)
-		copy(data[0:4], storeMagic)
-		binary.LittleEndian.PutUint32(data[4:8], storeFormatVersion)
-		binary.LittleEndian.PutUint64(data[8:16], uint64(len(payload)))
-		binary.LittleEndian.PutUint64(data[16:24], h.Sum64())
+	for _, payload := range forgedPayloads() {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
 					t.Fatalf("payload % x: decode panicked: %v", payload, r)
 				}
 			}()
-			if _, _, err := decodeTrace(data); err == nil {
+			if _, _, err := decodeTrace(withHeader(payload)); err == nil {
 				t.Fatalf("payload % x: oversized string length went undetected", payload)
 			}
 		}()
 	}
+}
+
+// forgedPayloads are payloads whose first string declares more bytes than
+// remain after its length varint.
+func forgedPayloads() [][]byte {
+	return [][]byte{
+		{0x05, 'a', 'b', 'c', 'd'}, // length 5, 4 bytes remain post-varint
+		{0x01},                     // length 1, nothing remains
+		{0xff, 0x01},               // two-byte varint (127+... = 255), 0 remain
+	}
+}
+
+// withHeader wraps payload in a consistent entry header: magic, format
+// version, payload length and the payload's FNV-64a hash.
+func withHeader(payload []byte) []byte {
+	data := make([]byte, storeHeaderLen+len(payload))
+	copy(data[storeHeaderLen:], payload)
+	h := fnv.New64a()
+	h.Write(payload)
+	copy(data[0:4], storeMagic)
+	binary.LittleEndian.PutUint32(data[4:8], storeFormatVersion)
+	binary.LittleEndian.PutUint64(data[8:16], uint64(len(payload)))
+	binary.LittleEndian.PutUint64(data[16:24], h.Sum64())
+	return data
+}
+
+// FuzzDecodeTrace fuzzes the entry payload behind a consistent header, so
+// mutations reach the field parser rather than failing the hash check.
+// Decoding must not panic, no decoded section may hold more elements than
+// the payload has bytes, and every accepted entry must re-encode to one
+// that decodes to the same key and trace.
+func FuzzDecodeTrace(f *testing.F) {
+	f.Add(encodeTrace("texture | key", recordedTexture(f, 32, 32))[storeHeaderLen:])
+	f.Add(encodeTrace("", &Trace{})[storeHeaderLen:])
+	for _, payload := range forgedPayloads() {
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		key, tr, err := decodeTrace(withHeader(payload))
+		if err != nil {
+			return
+		}
+		if n := len(payload); len(tr.phases) > n || len(tr.bases) > n || len(tr.events) > n {
+			t.Fatalf("%d-byte payload decoded to %d phases, %d bases, %d events",
+				n, len(tr.phases), len(tr.bases), len(tr.events))
+		}
+		key2, tr2, err := decodeTrace(encodeTrace(key, tr))
+		if err != nil {
+			t.Fatalf("re-encoded entry does not decode: %v", err)
+		}
+		if key2 != key || !tracesEqual(tr2, tr) {
+			t.Fatalf("re-encoded entry decodes to key %q and a different trace, want key %q", key2, key)
+		}
+	})
 }
 
 // TestDecodeRejectsForeignVersion patches the header's version field; the

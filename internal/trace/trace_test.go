@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gopim/internal/browser"
+	"gopim/internal/cache"
 	"gopim/internal/kernels/blit"
 	"gopim/internal/kernels/texture"
 	"gopim/internal/nn"
@@ -69,7 +70,12 @@ func TestReplayEquivalence(t *testing.T) {
 				t.Fatalf("recording perturbed the phase map")
 			}
 
-			for _, hw := range hardwareConfigs() {
+			hws := hardwareConfigs()
+			loops := name == "vp9-me" || name == "vp9-encode"
+			if loops {
+				hws = append(hws, loopConfigs()...)
+			}
+			for _, hw := range hws {
 				wantTotal, wantPhases := profile.Run(hw, k)
 				engines := []struct {
 					name   string
@@ -91,8 +97,37 @@ func TestReplayEquivalence(t *testing.T) {
 					}
 				}
 			}
+			if loops {
+				// One batched walk over the 64 B configs: four L1 groups,
+				// the tiny L1 falling back to walking where the others
+				// count iterations in bulk.
+				batch := append(hardwareConfigs(), loopConfigs()[1])
+				for i, r := range tr.ReplayBatch(batch) {
+					wantTotal, wantPhases := profile.Run(batch[i], k)
+					if r.Profile != wantTotal || !reflect.DeepEqual(r.Phases, wantPhases) {
+						t.Errorf("%s/batch: batched replay diverges from direct execution", batch[i].Name)
+					}
+				}
+			}
 		})
 	}
+}
+
+// loopConfigs are the extra configs the loop-heavy families replay on: a
+// SoC with 128 B lines, and a SoC whose 1 KB 2-way L1 is too small for
+// motion search's repeated groups, so its loops are walked iteration by
+// iteration.
+func loopConfigs() []profile.Hardware {
+	wide := profile.SoC()
+	wide.Name = "SoC-128B"
+	wide.L1.LineSize = 128
+	l2 := *wide.L2
+	l2.LineSize = 128
+	wide.L2 = &l2
+	tiny := profile.SoC()
+	tiny.Name = "SoC-1KB-L1"
+	tiny.L1 = cache.Config{Name: "L1D", Size: 1 << 10, Ways: 2}
+	return []profile.Hardware{wide, tiny}
 }
 
 // TestCacheSingleExecution verifies the memoization contract: one recording

@@ -39,6 +39,11 @@ go test -race -count=1 -run 'TestReplayStreamBatch|TestReplayBatch|TestHierarchy
 # ones that widened coverage.
 go test -run '^$' -fuzz FuzzLineStream -fuzztime 20s -fuzzminimizetime 1s ./internal/cache
 
+# Trace-store decoder fuzz smoke: payloads behind a consistent header must
+# never panic, never decode to more elements than they have bytes, and
+# re-encode to an entry that decodes to the same key and trace.
+go test -run '^$' -fuzz FuzzDecodeTrace -fuzztime 20s -fuzzminimizetime 1s ./internal/trace
+
 # Batched-replay perf gate: pricing the K=8 sweep family in one walk must
 # be at least 2x faster than 8 serial replays (no -race: it times).
 GOPIM_PERF_GATE=1 go test -count=1 -run TestBatchReplaySpeedup -v ./internal/trace
