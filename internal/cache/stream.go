@@ -47,6 +47,37 @@ func loopBody(prog []uint64, i int) []uint64 {
 	return prog[i-2*int(prog[i]>>1) : i]
 }
 
+// NewLineStream returns the stream whose program is prog, for programs
+// read back from outside the process. It checks what the walkers rely
+// on: whole two-word entries, and loop pairs whose group of 1 to
+// maxLoopRuns plain runs lies inside prog. Any run is valid as encoded.
+// The stream keeps prog.
+func NewLineStream(prog []uint64) (LineStream, error) {
+	if len(prog)%2 != 0 {
+		return LineStream{}, fmt.Errorf("line program of %d words is not whole entries", len(prog))
+	}
+	for i := 0; i < len(prog); i += 2 {
+		w0 := prog[i]
+		if w0>>33 != 0 {
+			continue
+		}
+		g := w0 >> 1
+		if w0&1 != 0 || g == 0 || g > maxLoopRuns || 2*g > uint64(i) {
+			return LineStream{}, fmt.Errorf("line program entry %d: loop group of %d runs does not fit", i/2, g)
+		}
+		for j := i - 2*int(g); j < i; j += 2 {
+			if prog[j]>>33 == 0 {
+				return LineStream{}, fmt.Errorf("line program entry %d: loop group holds a loop pair", i/2)
+			}
+		}
+	}
+	return LineStream{prog: prog}, nil
+}
+
+// Program returns the stream's encoded words, for serialization. Callers
+// must not modify them.
+func (s *LineStream) Program() []uint64 { return s.prog }
+
 // Len returns the total number of line accesses the stream issues, every
 // loop iteration included.
 func (s *LineStream) Len() uint64 {

@@ -144,19 +144,25 @@ func writeError(w http.ResponseWriter, code int, err error) {
 // decoder buffer an unbounded body.
 const maxSpecBytes = 1 << 20
 
-func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec reads a JobSpec that must be the whole of r: unknown fields,
+// or anything but whitespace after the spec, are errors.
+func decodeSpec(r io.Reader) (JobSpec, error) {
 	var sp JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(&sp)
 	if err == nil {
-		// The spec must be the whole body: only whitespace may follow it.
 		if _, err = dec.Token(); err == io.EOF {
 			err = nil
 		} else if err == nil {
 			err = errors.New("data after the job spec")
 		}
 	}
+	return sp, err
+}
+
+func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	sp, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError

@@ -7,7 +7,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -486,6 +488,79 @@ func TestCloseDrainsAndSettles(t *testing.T) {
 	}
 }
 
+// validSubmission is a spec TestHTTPAPI's bad submissions build on.
+const validSubmission = `{"kind":"run","experiments":["table1"]}`
+
+// badSubmissions are POST /jobs bodies and the status each must get. A
+// bad spec of exactly the bound, padded through its tenant name, is still
+// decoded. A valid spec followed by a second value, or by trailing bytes
+// past the bound, is rejected as a whole.
+func badSubmissions() []struct {
+	body string
+	want int
+} {
+	padded := func(size int) string {
+		const spec = `{"kind":"run","experiments":["fig999"],"tenant":"%s"}`
+		return fmt.Sprintf(spec, strings.Repeat("x", size-len(spec)+2))
+	}
+	return []struct {
+		body string
+		want int
+	}{
+		{"{not json", http.StatusBadRequest},
+		{`{"kind":"run","experiments":["fig999"]}`, http.StatusBadRequest},
+		{`{"kind":"run","bogus":1}`, http.StatusBadRequest},
+		{padded(maxSpecBytes), http.StatusBadRequest},
+		{padded(maxSpecBytes + 1), http.StatusRequestEntityTooLarge},
+		{validSubmission + "\n" + validSubmission, http.StatusBadRequest},
+		{validSubmission + " x", http.StatusBadRequest},
+		{validSubmission + strings.Repeat(" ", maxSpecBytes), http.StatusRequestEntityTooLarge},
+	}
+}
+
+// FuzzJobSpec feeds bodies through handleSubmit's decoding and then
+// normalize. Neither may panic, and an accepted spec must normalize
+// idempotently, to the same cell keys. The seeds are TestHTTPAPI's
+// submissions; those over a few KiB only test the HTTP layer's size
+// bound, which decodeSpec does not apply, and would slow every mutation.
+func FuzzJobSpec(f *testing.F) {
+	spec, _ := json.Marshal(JobSpec{Kind: "run", Experiments: []string{"fig1", "table1"}, Tenant: "http-test"})
+	f.Add(append(spec, " \n"...))
+	f.Add([]byte(validSubmission))
+	f.Add([]byte(`{"kind":"explore","mode":"random","n":3,"seed":7,"format":"json"}`))
+	for _, c := range badSubmissions() {
+		if len(c.body) <= 4<<10 {
+			f.Add([]byte(c.body))
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sp, err := decodeSpec(bytes.NewReader(body))
+		if err != nil || sp.normalize() != nil {
+			return
+		}
+		again := sp
+		again.Experiments = slices.Clone(sp.Experiments)
+		if err := again.normalize(); err != nil {
+			t.Fatalf("normalized spec %+v fails a second normalize: %v", sp, err)
+		}
+		if !reflect.DeepEqual(again, sp) {
+			t.Fatalf("normalize is not idempotent: %+v, then %+v", sp, again)
+		}
+		var s Server
+		if a, b := cellKeys(s.cells(sp)), cellKeys(s.cells(again)); !slices.Equal(a, b) {
+			t.Fatalf("cell keys %q, then %q", a, b)
+		}
+	})
+}
+
+func cellKeys(cells []cell) []string {
+	keys := make([]string, len(cells))
+	for i, c := range cells {
+		keys[i] = c.key
+	}
+	return keys
+}
+
 func TestHTTPAPI(t *testing.T) {
 	names := []string{"fig1", "table1"}
 	want := cliRunReference(t, names)
@@ -505,28 +580,8 @@ func TestHTTPAPI(t *testing.T) {
 	base := "http://" + api.Addr()
 
 	// Bad submissions map to 400 and a body over maxSpecBytes to 413, in
-	// the JSON error shape, and admit no job. A bad spec of exactly the
-	// bound, padded through its tenant name, is still decoded. A valid
-	// spec followed by a second value, or by trailing bytes past the
-	// bound, is rejected as a whole.
-	padded := func(size int) string {
-		const spec = `{"kind":"run","experiments":["fig999"],"tenant":"%s"}`
-		return fmt.Sprintf(spec, strings.Repeat("x", size-len(spec)+2))
-	}
-	const valid = `{"kind":"run","experiments":["table1"]}`
-	for _, c := range []struct {
-		body string
-		want int
-	}{
-		{"{not json", http.StatusBadRequest},
-		{`{"kind":"run","experiments":["fig999"]}`, http.StatusBadRequest},
-		{`{"kind":"run","bogus":1}`, http.StatusBadRequest},
-		{padded(maxSpecBytes), http.StatusBadRequest},
-		{padded(maxSpecBytes + 1), http.StatusRequestEntityTooLarge},
-		{valid + "\n" + valid, http.StatusBadRequest},
-		{valid + " x", http.StatusBadRequest},
-		{valid + strings.Repeat(" ", maxSpecBytes), http.StatusRequestEntityTooLarge},
-	} {
+	// the JSON error shape, and admit no job.
+	for _, c := range badSubmissions() {
 		resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)

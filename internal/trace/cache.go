@@ -202,23 +202,7 @@ func (c *Cache) Profile(hw profile.Hardware, kernel profile.Kernel) (profile.Pro
 	first := false
 	re.once.Do(func() {
 		first = true
-		te.once.Do(func() {
-			if t, ok := c.Store.Load(key); ok {
-				te.trace = t
-				c.storeHits.Add(1)
-			} else {
-				sp := c.Obs.Span("phase.record")
-				rec := NewRecorder(kernel.Name())
-				te.prof, te.phases = profile.Record(hw, kernel, rec)
-				te.trace = rec.Finish()
-				sp.End()
-				te.hwKey = hwKey
-				c.records.Add(1)
-				c.Store.SaveAsync(key, te.trace)
-			}
-			te.trace.Obs = c.Obs
-			c.admit(te)
-		})
+		te.once.Do(func() { c.fill(te, hw, kernel) })
 		if te.hwKey == hwKey {
 			re.prof, re.phases = te.prof, te.phases
 			return
@@ -276,27 +260,35 @@ func (c *Cache) TraceFor(kernel profile.Kernel) *Trace {
 	first := false
 	te.once.Do(func() {
 		first = true
-		if t, ok := c.Store.Load(key); ok {
-			te.trace = t
-			c.storeHits.Add(1)
-		} else {
-			hw := profile.SoC()
-			sp := c.Obs.Span("phase.record")
-			rec := NewRecorder(kernel.Name())
-			te.prof, te.phases = profile.Record(hw, kernel, rec)
-			te.trace = rec.Finish()
-			sp.End()
-			te.hwKey = HardwareKey(hw)
-			c.records.Add(1)
-			c.Store.SaveAsync(key, te.trace)
-		}
-		te.trace.Obs = c.Obs
-		c.admit(te)
+		c.fill(te, profile.SoC(), kernel)
 	})
 	if !first {
 		c.hits.Add(1)
 	}
 	return te.trace
+}
+
+// fill gives te its trace: loaded from the store or, failing that,
+// recorded on hw (keeping that run's result) and written through. Either
+// way it is then admitted.
+func (c *Cache) fill(te *traceEntry, hw profile.Hardware, kernel profile.Kernel) {
+	if t, ok := c.Store.Load(te.key); ok {
+		te.trace = t
+		t.Obs = c.Obs
+		c.storeHits.Add(1)
+	} else {
+		sp := c.Obs.Span("phase.record")
+		rec := NewRecorder(kernel.Name())
+		te.prof, te.phases = profile.Record(hw, kernel, rec)
+		te.trace = rec.Finish()
+		sp.End()
+		te.hwKey = HardwareKey(hw)
+		c.records.Add(1)
+		// Set before the write-through, which compiles through Obs.
+		te.trace.Obs = c.Obs
+		c.Store.SaveAsync(te.key, te.trace)
+	}
+	c.admit(te)
 }
 
 // admit enters a freshly recorded or loaded trace into the LRU accounting

@@ -114,7 +114,7 @@ func (t *Trace) compileOnce(lineSize uint64) *compiled {
 		}
 	}
 
-	ev := t.events
+	ev := t.eventWords()
 	for i := 0; i < len(ev); {
 		w := ev[i]
 		switch op := w & 0xff; op {

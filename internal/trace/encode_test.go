@@ -1,11 +1,15 @@
 package trace
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"gopim/internal/mem"
@@ -43,12 +47,35 @@ func randomTrace(rng *rand.Rand, kernel string) *Trace {
 	return rec.Finish()
 }
 
-// tracesEqual compares every serialized field of two traces.
+// tracesEqual compares every serialized field of two traces, events
+// decoded and the 64 B form included.
 func tracesEqual(a, b *Trace) bool {
-	return a.Kernel == b.Kernel &&
-		reflect.DeepEqual(a.events, b.events) &&
+	return a.Kernel == b.Kernel && a.Words() == b.Words() &&
+		reflect.DeepEqual(a.eventWords(), b.eventWords()) &&
 		reflect.DeepEqual(a.phases, b.phases) &&
-		reflect.DeepEqual(a.bases, b.bases)
+		reflect.DeepEqual(a.bases, b.bases) &&
+		compiledEqual(a.compile(mem.LineSize), b.compile(mem.LineSize)) == ""
+}
+
+// compiledEqual compares two compiled forms segment by segment and word
+// by word, and describes the first difference ("" when equal).
+func compiledEqual(a, b *compiled) string {
+	if len(a.segs) != len(b.segs) {
+		return fmt.Sprintf("%d segments, want %d", len(a.segs), len(b.segs))
+	}
+	for i := range a.segs {
+		x, y := &a.segs[i], &b.segs[i]
+		if x.phase != y.phase || x.ops != y.ops || x.simd != y.simd || x.refs != y.refs ||
+			!reflect.DeepEqual(x.scalar, y.scalar) || !reflect.DeepEqual(x.vector, y.vector) {
+			return fmt.Sprintf("segment %d: header %q %d/%d/%d %v %v, want %q %d/%d/%d %v %v", i,
+				x.phase, x.ops, x.simd, x.refs, x.scalar, x.vector, y.phase, y.ops, y.simd, y.refs, y.scalar, y.vector)
+		}
+		if !slices.Equal(x.stream.Program(), y.stream.Program()) {
+			return fmt.Sprintf("segment %d: program of %d words differs from the %d-word one", i,
+				len(x.stream.Program()), len(y.stream.Program()))
+		}
+	}
+	return ""
 }
 
 // TestEncodeRoundTrip is the format's property test: across randomized
@@ -79,10 +106,10 @@ func TestEncodeRoundTrip(t *testing.T) {
 }
 
 // TestDecodeDetectsEveryBitFlip flips every single bit of an encoded entry
-// — header and payload alike — and requires decode to reject each variant.
-// The FNV-1a payload hash guarantees this for the payload (the per-byte
-// multiply by an odd prime is invertible, so differing states never
-// re-converge), and the header fields are each checked structurally.
+// — header and payload alike, the zero upper half of the checksum field
+// included — and requires decode to reject each variant. The CRC-32C
+// guarantees this for the payload (every single-bit error changes the
+// remainder), and the header fields are each checked structurally.
 func TestDecodeDetectsEveryBitFlip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	tr := randomTrace(rng, "bitflip")
@@ -119,12 +146,12 @@ func TestDecodeDetectsTruncation(t *testing.T) {
 }
 
 // TestDecodeRejectsOversizedStringLength feeds decode a crafted entry whose
-// header (magic, version, length, FNV hash) is fully consistent but whose
+// header (magic, version, length, checksum) is fully consistent but whose
 // payload declares a string longer than the bytes that remain after the
-// length varint. The hash check cannot catch this — FNV-64a is trivially
+// length varint. The checksum cannot catch this — a CRC is trivially
 // computable, so an attacker (or a colliding corruption) can always forge a
-// matching header — and decode must fail cleanly rather than panic slicing
-// past the payload.
+// matching header — and decode must fail cleanly, on the string length,
+// rather than panic slicing past the payload.
 func TestDecodeRejectsOversizedStringLength(t *testing.T) {
 	for _, payload := range forgedPayloads() {
 		func() {
@@ -133,8 +160,8 @@ func TestDecodeRejectsOversizedStringLength(t *testing.T) {
 					t.Fatalf("payload % x: decode panicked: %v", payload, r)
 				}
 			}()
-			if _, _, err := decodeTrace(withHeader(payload)); err == nil {
-				t.Fatalf("payload % x: oversized string length went undetected", payload)
+			if _, _, err := decodeTrace(withHeader(payload)); !errors.Is(err, errStringLength) {
+				t.Fatalf("payload % x: decode error %v, want the oversized string length", payload, err)
 			}
 		}()
 	}
@@ -151,38 +178,88 @@ func forgedPayloads() [][]byte {
 }
 
 // withHeader wraps payload in a consistent entry header: magic, format
-// version, payload length and the payload's FNV-64a hash.
+// version, payload length and the checksum decodeTrace checks.
 func withHeader(payload []byte) []byte {
 	data := make([]byte, storeHeaderLen+len(payload))
 	copy(data[storeHeaderLen:], payload)
-	h := fnv.New64a()
-	h.Write(payload)
 	copy(data[0:4], storeMagic)
 	binary.LittleEndian.PutUint32(data[4:8], storeFormatVersion)
 	binary.LittleEndian.PutUint64(data[8:16], uint64(len(payload)))
-	binary.LittleEndian.PutUint64(data[16:24], h.Sum64())
+	binary.LittleEndian.PutUint64(data[16:24], storeChecksum(payload))
 	return data
 }
 
+// loopTrace records two one-line accesses alternating over two lines,
+// six times as two loads and six times as a load and a store: its 64 B
+// program holds a loop of one stride run and a loop of two runs.
+func loopTrace() *Trace {
+	rec := NewRecorder("loop")
+	b := mem.BufferAt("b", 1<<20)
+	rec.Phase("p")
+	for _, second := range []profile.AccessOp{profile.OpLoad, profile.OpStore} {
+		for i := 0; i < 6; i++ {
+			rec.Span(profile.OpLoad, b, 0, 8, 1, 0)
+			rec.Span(second, b, 4096, 8, 1, 0)
+		}
+	}
+	return rec.Finish()
+}
+
+// TestLoweringPinned pins the 64 B forms of fixed traces — random span
+// mixes and loopTrace — to loweringPin. Store entries carry these forms,
+// so a change to how spans lower or to StreamBuilder's encoding would
+// make old entries replay the old lowering: it fails here until
+// storeFormatVersion is bumped and loweringPin re-pinned with it.
+func TestLoweringPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	traces := []*Trace{loopTrace()}
+	for i := 0; i < 8; i++ {
+		traces = append(traces, randomTrace(rng, "pin"))
+	}
+	h := sha256.New()
+	for _, tr := range traces {
+		for _, seg := range tr.compileOnce(mem.LineSize).segs {
+			fmt.Fprintf(h, "%q %d %d %d %v %v\n", seg.phase, seg.ops, seg.simd, seg.refs, seg.scalar, seg.vector)
+			binary.Write(h, binary.LittleEndian, seg.stream.Program())
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != loweringPin {
+		t.Fatalf("64 B lowering hashes to %s, format version %d pins %s: bump storeFormatVersion and re-pin loweringPin",
+			got, storeFormatVersion, loweringPin)
+	}
+}
+
 // FuzzDecodeTrace fuzzes the entry payload behind a consistent header, so
-// mutations reach the field parser rather than failing the hash check.
-// Decoding must not panic, no decoded section may hold more elements than
-// the payload has bytes, and every accepted entry must re-encode to one
-// that decodes to the same key and trace.
+// mutations reach the section parsers rather than failing the checksum.
+// Decoding must not panic, no decoded section — events and program words
+// included — may hold more elements than the payload has bytes, and
+// every accepted entry must re-encode to one that decodes to the same
+// key, events and 64 B form.
 func FuzzDecodeTrace(f *testing.F) {
 	f.Add(encodeTrace("texture | key", recordedTexture(f, 32, 32))[storeHeaderLen:])
+	f.Add(encodeTrace("loop | key", loopTrace())[storeHeaderLen:])
 	f.Add(encodeTrace("", &Trace{})[storeHeaderLen:])
 	for _, payload := range forgedPayloads() {
 		f.Add(payload)
+	}
+	for _, tc := range malformedSections() {
+		f.Add(sectionPayload(tc.words, tc.events, tc.phase, tc.prog))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		key, tr, err := decodeTrace(withHeader(payload))
 		if err != nil {
 			return
 		}
-		if n := len(payload); len(tr.phases) > n || len(tr.bases) > n || len(tr.events) > n {
-			t.Fatalf("%d-byte payload decoded to %d phases, %d bases, %d events",
-				n, len(tr.phases), len(tr.bases), len(tr.events))
+		progWords := 0
+		for _, seg := range tr.compile(mem.LineSize).segs {
+			progWords += seg.stream.Words()
+		}
+		if n := len(payload); len(tr.phases) > n || len(tr.bases) > n || tr.Words() > n || progWords > n {
+			t.Fatalf("%d-byte payload decoded to %d phases, %d bases, %d event words, %d program words",
+				n, len(tr.phases), len(tr.bases), tr.Words(), progWords)
+		}
+		if len(tr.eventWords()) != tr.Words() {
+			t.Fatalf("event section decoded to %d words, header says %d", len(tr.eventWords()), tr.Words())
 		}
 		key2, tr2, err := decodeTrace(encodeTrace(key, tr))
 		if err != nil {
@@ -192,6 +269,73 @@ func FuzzDecodeTrace(f *testing.F) {
 			t.Fatalf("re-encoded entry decodes to key %q and a different trace, want key %q", key2, key)
 		}
 	})
+}
+
+// sectionPayload is a payload with one phase name "p", no buffers, an
+// event section of words words encoded as events, and a 64 B form of one
+// segment with phase index phase and program prog, encoded as given.
+func sectionPayload(words uint64, events []byte, phase uint64, prog []uint64) []byte {
+	buf := appendString(nil, "forged | key")
+	buf = appendString(buf, "forged")
+	buf = binary.AppendUvarint(buf, 1)
+	buf = appendString(buf, "p")
+	buf = binary.AppendUvarint(buf, 0) // bases
+	buf = binary.AppendUvarint(buf, words)
+	buf = appendString(buf, string(events))
+	buf = binary.AppendUvarint(buf, 1) // segments
+	buf = binary.AppendUvarint(buf, uint64(len(prog)))
+	buf = binary.AppendUvarint(buf, phase)
+	buf = append(buf, 0, 0, 0, 0, 0) // counters, no ref groups
+	return appendProgram(buf, prog)
+}
+
+// run is a one-access 64 B program run at line addr; loop is a loop pair
+// repeating the group of runs before it extra more times.
+func run(addr uint64) []uint64          { return []uint64{1 << 33, addr << lineBits} }
+func loop(group, extra uint64) []uint64 { return []uint64{group << 1, extra} }
+
+// malformedSections are event sections and 64 B forms of one malformed
+// shape each, with the decoding error each must get.
+type malformedSection struct {
+	name, err string
+	words     uint64
+	events    []byte
+	phase     uint64
+	prog      []uint64
+}
+
+func malformedSections() []malformedSection {
+	cat := func(parts ...[]uint64) []uint64 { return slices.Concat(parts...) }
+	var long []uint64 // cache's maxLoopRuns is 64
+	for i := 0; i < 65; i++ {
+		long = append(long, run(1)...)
+	}
+	return []malformedSection{
+		{"event count past the framing", "event section", 2, []byte{1}, 1, run(1)},
+		{"unterminated event", "event section", 1, []byte{1, 0x80}, 1, run(1)},
+		{"odd length", "not whole entries", 0, nil, 1, cat(run(1), []uint64{1 << 33})},
+		{"loop group 0", "does not fit", 0, nil, 1, cat(run(1), loop(0, 2))},
+		{"group past maxLoopRuns", "does not fit", 0, nil, 1, cat(long, loop(65, 2))},
+		{"group before the segment", "does not fit", 0, nil, 1, cat(run(1), loop(2, 2))},
+		{"group holding a loop pair", "holds a loop pair", 0, nil, 1, cat(run(1), run(2), loop(1, 2), loop(2, 2))},
+		{"phase index past the table", "phase index", 0, nil, 2, run(1)},
+	}
+}
+
+// TestDecodeRejectsMalformedSections: each malformed event section and
+// 64 B form decodes as corrupt, for its own reason, while the same payload
+// with well-formed sections decodes.
+func TestDecodeRejectsMalformedSections(t *testing.T) {
+	good := sectionPayload(2, []byte{1, 0x80, 1}, 1, slices.Concat(run(1), run(2), loop(2, 2)))
+	if _, _, err := decodeTrace(withHeader(good)); err != nil {
+		t.Fatalf("well-formed sections rejected: %v", err)
+	}
+	for _, tc := range malformedSections() {
+		_, _, err := decodeTrace(withHeader(sectionPayload(tc.words, tc.events, tc.phase, tc.prog)))
+		if err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("%s: decode error %v, want one naming %q", tc.name, err, tc.err)
+		}
+	}
 }
 
 // TestDecodeRejectsForeignVersion patches the header's version field; the

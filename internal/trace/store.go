@@ -141,7 +141,9 @@ func (s *Store) Load(key string) (*Trace, bool) {
 
 // SaveAsync writes the trace for key through to disk on a background
 // goroutine, so recording runs never wait on I/O; Wait blocks until all
-// pending writes land. Failures only bump SaveErrors — the store stays a
+// pending writes land. The entry carries the trace's mem.LineSize form,
+// lowered through the trace's single-flight compile unless a replay has
+// already done so. Failures only bump SaveErrors — the store stays a
 // best-effort cache. A nil store ignores the write.
 func (s *Store) SaveAsync(key string, t *Trace) {
 	if s == nil {
@@ -211,7 +213,7 @@ type VerifyReport struct {
 }
 
 // Verify decodes every entry under the current format version, checking
-// magic, version, integrity hash, and that each entry is filed under its
+// magic, version, checksum, section structure, and that each entry is filed under its
 // own key's hash; it also reports stale version directories left behind by
 // format bumps and stray files (e.g. temp files from a crashed writer).
 // With prune set, defective files and stale directories are deleted.

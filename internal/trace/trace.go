@@ -61,28 +61,54 @@ type Trace struct {
 	// single-flight; set it before sharing a hand-built Trace.
 	Obs *obs.Registry
 
+	// The event stream, words long. A recorded trace holds it in events.
+	// One loaded from the store holds its encoded section in evEnc until
+	// something asks for events (eventWords), which decodes it once.
 	events []uint64
+	evEnc  []byte
+	evOnce sync.Once
+	words  int
 	phases []string // interned phase names, indexed by phase events
 	bases  []uint64 // buffer id -> base address in the recording Space
 
 	// Replay-many state, interned on first use and shared by all replays:
 	// the compiled line-stream form per line size, and the interpreter's
-	// synthetic buffer handles (stateless, so sharing is safe).
+	// synthetic buffer handles (stateless, so sharing is safe). mu also
+	// orders the swap of evEnc for events against MemBytes.
 	mu         sync.Mutex
 	compiledBy map[uint64]*compiledEntry
 	bufsOnce   sync.Once
 	replayBufs []*mem.Buffer
 }
 
-// Words returns the size of the encoded event stream in 8-byte words.
-func (t *Trace) Words() int { return len(t.events) }
+// Words returns the size of the event stream in 8-byte words, decoded or
+// not.
+func (t *Trace) Words() int { return t.words }
 
-// MemBytes returns the in-memory footprint of the recorded stream — events,
-// buffer bases, and phase names. Compiled per-line-size forms are excluded:
-// they are derived data, re-lowerable from the stream, and their lifetime
+// eventWords returns the event stream, decoding a store-loaded trace's
+// event section on first use. decodeTrace has checked the section's
+// framing, so decoding cannot fail.
+func (t *Trace) eventWords() []uint64 {
+	t.evOnce.Do(func() {
+		if t.evEnc == nil {
+			return
+		}
+		ev := decodeEvents(t.evEnc, t.words)
+		t.mu.Lock()
+		t.events, t.evEnc = ev, nil
+		t.mu.Unlock()
+	})
+	return t.events
+}
+
+// MemBytes returns the in-memory footprint of the recorded stream — events
+// (decoded, or still encoded for a store-loaded trace), buffer bases, and
+// phase names. Compiled per-line-size forms are excluded: their lifetime
 // follows the Trace's. This is the per-entry size the Cache's Limit bounds.
 func (t *Trace) MemBytes() int64 {
-	n := int64(len(t.events)+len(t.bases)) * 8
+	t.mu.Lock()
+	n := int64(len(t.events)+len(t.bases))*8 + int64(len(t.evEnc))
+	t.mu.Unlock()
 	for _, p := range t.phases {
 		n += int64(len(p))
 	}
@@ -180,6 +206,7 @@ func (r *Recorder) Span2(op profile.AccessOp, src *mem.Buffer, srcOff int, dst *
 // recorder must not be used afterwards.
 func (r *Recorder) Finish() *Trace {
 	r.flushCounts()
+	r.t.words = len(r.t.events)
 	return r.t
 }
 
@@ -214,7 +241,7 @@ func (t *Trace) buffers() []*mem.Buffer {
 func (t *Trace) ReplayInterp(hw profile.Hardware) (profile.Profile, map[string]profile.Profile) {
 	ctx := profile.NewCtx(hw)
 	bufs := t.buffers()
-	ev := t.events
+	ev := t.eventWords()
 	for i := 0; i < len(ev); {
 		w := ev[i]
 		switch op := w & 0xff; op {

@@ -2,12 +2,14 @@ package trace
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"gopim/internal/browser"
 	"gopim/internal/cache"
 	"gopim/internal/kernels/blit"
 	"gopim/internal/kernels/texture"
+	"gopim/internal/mem"
 	"gopim/internal/nn"
 	"gopim/internal/profile"
 	"gopim/internal/qgemm"
@@ -51,9 +53,11 @@ func familyKernels() map[string]profile.Kernel {
 }
 
 // TestReplayEquivalence is the tentpole's correctness gate: for every kernel
-// family, record once and replay on all three hardware configs, and require
-// the replay to match a direct profile.Run bit-for-bit — totals, per-phase
-// maps, and the event-order-sensitive row-buffer stats.
+// family, record once and replay on all three hardware configs and a
+// 128 B-line SoC, and require the replay to match a direct profile.Run
+// bit-for-bit — totals, per-phase maps, and the event-order-sensitive
+// row-buffer stats. The trace is also passed through a store entry, whose
+// 64 B form, events and replays must match the recorded trace's.
 func TestReplayEquivalence(t *testing.T) {
 	for name, k := range familyKernels() {
 		t.Run(name, func(t *testing.T) {
@@ -70,10 +74,11 @@ func TestReplayEquivalence(t *testing.T) {
 				t.Fatalf("recording perturbed the phase map")
 			}
 
-			hws := hardwareConfigs()
+			stored := storeRoundTrip(t, tr)
+			hws := append(hardwareConfigs(), loopConfigs()[0])
 			loops := name == "vp9-me" || name == "vp9-encode"
 			if loops {
-				hws = append(hws, loopConfigs()...)
+				hws = append(hws, loopConfigs()[1])
 			}
 			for _, hw := range hws {
 				wantTotal, wantPhases := profile.Run(hw, k)
@@ -83,6 +88,8 @@ func TestReplayEquivalence(t *testing.T) {
 				}{
 					{"compiled", tr.Replay},
 					{"interp", tr.ReplayInterp},
+					{"stored", stored.Replay},
+					{"stored-interp", stored.ReplayInterp},
 				}
 				for _, e := range engines {
 					gotTotal, gotPhases := e.replay(hw)
@@ -96,6 +103,9 @@ func TestReplayEquivalence(t *testing.T) {
 						t.Errorf("%s/%s: replay phase map diverges:\nreplay %+v\ndirect %+v", hw.Name, e.name, gotPhases, wantPhases)
 					}
 				}
+			}
+			if !slices.Equal(stored.eventWords(), tr.events) {
+				t.Errorf("stored events differ from the recorded ones")
 			}
 			if loops {
 				// One batched walk over the 64 B configs: four L1 groups,
@@ -113,10 +123,29 @@ func TestReplayEquivalence(t *testing.T) {
 	}
 }
 
-// loopConfigs are the extra configs the loop-heavy families replay on: a
-// SoC with 128 B lines, and a SoC whose 1 KB 2-way L1 is too small for
-// motion search's repeated groups, so its loops are walked iteration by
-// iteration.
+// storeRoundTrip encodes tr into a store entry and decodes it, requiring
+// the entry's 64 B form to equal a fresh lowering of tr word for word and
+// a 64 B replay of it to leave the event section encoded.
+func storeRoundTrip(t *testing.T, tr *Trace) *Trace {
+	t.Helper()
+	_, stored, err := decodeTrace(encodeTrace("round trip | "+tr.Kernel, tr))
+	if err != nil {
+		t.Fatalf("store round trip: %v", err)
+	}
+	if diff := compiledEqual(stored.compile(mem.LineSize), tr.compileOnce(mem.LineSize)); diff != "" {
+		t.Errorf("stored 64 B form differs from a fresh lowering: %s", diff)
+	}
+	stored.Replay(profile.SoC())
+	if stored.Words() > 0 && stored.evEnc == nil {
+		t.Errorf("a 64 B replay of the stored trace decoded its events")
+	}
+	return stored
+}
+
+// loopConfigs are two extra configs: a SoC with 128 B lines, which every
+// family replays on, and a SoC whose 1 KB 2-way L1 is too small for
+// motion search's repeated groups, so the loop-heavy families' loops are
+// walked iteration by iteration.
 func loopConfigs() []profile.Hardware {
 	wide := profile.SoC()
 	wide.Name = "SoC-128B"

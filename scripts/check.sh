@@ -40,9 +40,15 @@ go test -race -count=1 -run 'TestReplayStreamBatch|TestReplayBatch|TestHierarchy
 go test -run '^$' -fuzz FuzzLineStream -fuzztime 20s -fuzzminimizetime 1s ./internal/cache
 
 # Trace-store decoder fuzz smoke: payloads behind a consistent header must
-# never panic, never decode to more elements than they have bytes, and
-# re-encode to an entry that decodes to the same key and trace.
+# never panic, never decode to more elements (event or program words
+# included) than they have bytes, and re-encode to an entry that decodes
+# to the same key, events and 64 B form.
 go test -run '^$' -fuzz FuzzDecodeTrace -fuzztime 20s -fuzzminimizetime 1s ./internal/trace
+
+# Job-spec fuzz smoke: POST /jobs bodies through the handler's decoding
+# and normalize must never panic, and an accepted spec must normalize
+# idempotently to the same cell keys.
+go test -run '^$' -fuzz FuzzJobSpec -fuzztime 20s -fuzzminimizetime 1s ./internal/serve
 
 # Batched-replay perf gate: pricing the K=8 sweep family in one walk must
 # be at least 2x faster than 8 serial replays (no -race: it times).
@@ -79,7 +85,9 @@ cmp "$tmpdir/explore.txt" "$tmpdir/explore-w4.txt"
 "$tmpdir/pimsim" -tracestore=off explore -mode random -n 40 -seed 7 -format json > /dev/null
 
 # Persistent trace-store gate: pack a store, then require byte-identical
-# output from a cold process reading it, a clean `trace verify`, and — after
+# output from a cold process reading it — through the stored 64 B forms,
+# and through the paths that decode the stored events: the interpreter,
+# and the explorer's 128 B designs — a clean `trace verify`, and — after
 # corrupting every entry — a verify that fails plus a run that falls back to
 # re-recording with output still byte-identical.
 store="$tmpdir/store"
@@ -87,6 +95,10 @@ store="$tmpdir/store"
 "$tmpdir/pimsim" -tracestore="$store" trace verify
 "$tmpdir/pimsim" -tracestore="$store" run all > "$tmpdir/store.txt"
 cmp "$tmpdir/off.txt" "$tmpdir/store.txt"
+"$tmpdir/pimsim" -tracestore="$store" -replay=interp run all > "$tmpdir/store-interp.txt"
+cmp "$tmpdir/interp.txt" "$tmpdir/store-interp.txt"
+"$tmpdir/pimsim" -tracestore="$store" explore -mode random -n 40 -seed 7 > "$tmpdir/store-explore.txt"
+cmp "$tmpdir/explore.txt" "$tmpdir/store-explore.txt"
 for f in "$store"/v*/*/*.trace; do truncate -s -3 "$f"; done
 if "$tmpdir/pimsim" -tracestore="$store" trace verify > /dev/null; then
 	echo "check.sh: trace verify missed injected corruption" >&2
