@@ -166,7 +166,6 @@ func main() {
 	workersFlag := flag.Int("workers", 0, "max concurrent workers (0 = GOMAXPROCS, 1 = serial)")
 	traceFlag := flag.String("tracecache", "on", "kernel trace cache: on (capture once, replay per config) or off (direct execution)")
 	limitFlag := flag.Int64("tracecache-limit", -1, "in-memory trace cache bound in bytes (0 = unlimited; -1 = default: unlimited for runs, 512 MiB for explore)")
-	replayFlag := flag.String("replay", "compiled", "trace replay engine: compiled (line-stream) or interp (reference interpreter); output is byte-identical")
 	storeFlag := flag.String("tracestore", "auto", "persistent trace store directory: auto ($GOPIM_TRACE_DIR or the user cache dir), off, or a path")
 	pruneFlag := flag.Bool("prune", false, "with `trace verify`: delete corrupt entries and stale-version directories")
 	var oc obsConfig
@@ -184,26 +183,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pimsim: unknown scale %q\n", *scaleFlag)
 		os.Exit(2)
 	}
-	var engine trace.Engine
-	switch *replayFlag {
-	case "compiled":
-		engine = trace.EngineCompiled
-	case "interp":
-		engine = trace.EngineInterp
-	default:
-		fmt.Fprintf(os.Stderr, "pimsim: unknown replay engine %q (want compiled or interp)\n", *replayFlag)
-		os.Exit(2)
-	}
 	opts := experiments.Options{Scale: scale, Workers: *workersFlag}
 
 	names := flag.Args()
 	if len(names) > 0 && names[0] == "trace" {
-		traceCommand(names[1:], opts, engine, *storeFlag, *pruneFlag)
+		traceCommand(names[1:], opts, *storeFlag, *pruneFlag)
 		return
 	}
 
 	if len(names) > 0 && names[0] == "explore" {
-		exploreCommand(names[1:], opts, engine, *replayFlag, *storeFlag, *limitFlag, oc)
+		exploreCommand(names[1:], opts, *storeFlag, *limitFlag, oc)
 		return
 	}
 
@@ -218,7 +207,6 @@ func main() {
 	switch *traceFlag {
 	case "on":
 		opts.Traces = trace.NewCache()
-		opts.Traces.Engine = engine
 		opts.Traces.Store = openStore(*storeFlag, false)
 		if *limitFlag > 0 {
 			opts.Traces.Limit = *limitFlag
@@ -244,10 +232,9 @@ func main() {
 
 	reg, srv := setupObs(oc, &opts)
 	meta := obs.RunMeta{
-		Command:      "run",
-		Scale:        *scaleFlag,
-		ReplayEngine: *replayFlag,
-		Workers:      par.Workers(opts.Workers),
+		Command: "run",
+		Scale:   *scaleFlag,
+		Workers: par.Workers(opts.Workers),
 	}
 	runStart := obs.Now()
 	var times []obs.ExperimentTime
@@ -366,7 +353,7 @@ func openStore(flagVal string, require bool) *trace.Store {
 // before or after the subcommand name (`trace -prune verify` and
 // `trace verify -prune`) as well as globally (`pimsim -prune trace verify`
 // — the global value seeds the default).
-func traceCommand(args []string, opts experiments.Options, engine trace.Engine, storeFlag string, prune bool) {
+func traceCommand(args []string, opts experiments.Options, storeFlag string, prune bool) {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	pruneSub := fs.Bool("prune", prune, "with verify: delete corrupt entries and stale-version directories")
 	fs.Usage = func() {
@@ -389,7 +376,6 @@ func traceCommand(args []string, opts experiments.Options, engine trace.Engine, 
 	switch args[0] {
 	case "pack":
 		c := trace.NewCache()
-		c.Engine = engine
 		c.Store = st
 		opts.Traces = c
 		if err := experiments.Warm(opts); err != nil {
@@ -441,7 +427,7 @@ func traceCommand(args []string, opts experiments.Options, engine trace.Engine, 
 // capture-once/replay-many is the sweep's entire economy — with the
 // in-memory bound defaulted to 512 MiB (a sweep touches every kernel, so
 // an unbounded cache would peak at the sum of all trace streams).
-func exploreCommand(args []string, opts experiments.Options, engine trace.Engine, engineName, storeFlag string, limit int64, oc obsConfig) {
+func exploreCommand(args []string, opts experiments.Options, storeFlag string, limit int64, oc obsConfig) {
 	fs := flag.NewFlagSet("explore", flag.ExitOnError)
 	mode := fs.String("mode", "grid", "sweep mode: grid (full factorial), random (sample -n points), or paper (the paper's three designs)")
 	n := fs.Int("n", 1024, "with -mode random: number of design points to sample")
@@ -459,7 +445,6 @@ func exploreCommand(args []string, opts experiments.Options, engine trace.Engine
 	}
 
 	opts.Traces = trace.NewCache()
-	opts.Traces.Engine = engine
 	opts.Traces.Store = openStore(storeFlag, false)
 	if limit >= 0 {
 		opts.Traces.Limit = limit
@@ -481,11 +466,10 @@ func exploreCommand(args []string, opts experiments.Options, engine trace.Engine
 	}
 	waitStore(opts)
 	finishObs(reg, srv, oc, obs.RunMeta{
-		Command:      "explore",
-		Scale:        scaleName(opts.Scale),
-		ReplayEngine: engineName,
-		Workers:      par.Workers(opts.Workers),
-		Configs:      res.Configs,
+		Command: "explore",
+		Scale:   scaleName(opts.Scale),
+		Workers: par.Workers(opts.Workers),
+		Configs: res.Configs,
 	}, obs.Since(runStart), nil)
 }
 

@@ -6,9 +6,10 @@
 // timing, engine width and accelerator efficiency: every kernel executes
 // (or loads from the persistent store) exactly once, each distinct cache
 // geometry is priced by replaying the kernel's trace, and geometries
-// sharing a line size replay together through one batched stream walk
-// (trace.CompiledTrace.ReplayBatch), so a thousand-design sweep costs a
-// handful of trace walks instead of a thousand kernel executions.
+// sharing a line size replay together through one batched replay
+// (trace.Trace.ReplayBatch), which walks the trace once per distinct L1
+// geometry, so a thousand-design sweep costs a few trace walks per kernel
+// instead of a thousand kernel executions.
 //
 // Engine and energy knobs (IPC, units, latency, bandwidth, accelerator
 // efficiency) never touch the memory-system profile, so they multiply the

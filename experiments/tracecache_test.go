@@ -41,38 +41,3 @@ func TestRunAllTraceCacheMatchesDirect(t *testing.T) {
 		t.Errorf("expected more hits than recordings, got %+v", s)
 	}
 }
-
-// TestRunAllReplayEnginesMatch is the end-to-end replay-engine gate: the
-// full experiment sweep must render byte-identical reports whether the
-// trace cache replays through the compiled line-stream engine or the
-// reference interpreter.
-func TestRunAllReplayEnginesMatch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two full experiment sweeps; skipped with -short")
-	}
-	compiledCache := trace.NewCache() // Engine zero value is EngineCompiled
-	interpCache := trace.NewCache()
-	interpCache.Engine = trace.EngineInterp
-
-	compiled := RunAllSerial(Options{Scale: gopim.Quick, Traces: compiledCache})
-	interp := RunAllSerial(Options{Scale: gopim.Quick, Traces: interpCache})
-	if len(compiled) != len(interp) {
-		t.Fatalf("result counts differ: %d compiled / %d interp", len(compiled), len(interp))
-	}
-	rc, ri := renderResults(t, compiled), renderResults(t, interp)
-	for name, text := range rc {
-		if !bytes.Equal(text, ri[name]) {
-			t.Errorf("%s: rendered output differs between replay engines:\ncompiled:\n%s\ninterp:\n%s",
-				name, text, ri[name])
-		}
-	}
-
-	// Both sweeps must actually have replayed traces for the comparison to
-	// mean anything.
-	if s := compiledCache.Stats(); s.Replays == 0 {
-		t.Errorf("compiled sweep performed no replays: stats %+v", s)
-	}
-	if s := interpCache.Stats(); s.Replays == 0 {
-		t.Errorf("interp sweep performed no replays: stats %+v", s)
-	}
-}

@@ -1,25 +1,19 @@
 // Batched multi-config stream replay: one LineStream walk driving K cache
 // hierarchies.
 //
-// Hierarchy.ReplayStream prices one hardware config per walk, so a K-config
-// sweep decodes every RLE run, re-derives the per-run bookkeeping, and
-// touches memory K times. HierarchySet amortizes all of that: the outer loop
-// decodes each run exactly once, and the inner loop drives the configs
-// config-major — each config's tag words are walked for the whole run before
-// the next config's, instead of interleaving configs per access — which
-// keeps one cache's tag array hot while it is being scanned.
-//
-// The second, larger lever is L1 sharing. An L1's state evolution under a
-// line-access sequence depends only on its geometry (sets, ways, line size),
-// never on what sits below it — Hierarchy.fill consumes the L1's outcome
-// (miss + optional writeback) without reading L1 state. So hierarchies whose
-// L1s have the same geometry and start in the same state evolve their L1s
-// through byte-identical states forever. HierarchySet groups such members,
-// walks one lead L1 per group, fans each miss's fill out to every member's
-// own L2/memory, and copies the lead's final L1 state onto the other members
-// when the walk returns (callers read L1 stats only between walks, at phase
+// An L1's state evolution under a line-access sequence depends only on its
+// geometry (sets, ways, line size), never on what sits below it —
+// Hierarchy.fill consumes the L1's outcome (miss + optional writeback)
+// without reading L1 state. So hierarchies whose L1s have the same geometry
+// and start in the same state evolve their L1s through byte-identical
+// states forever. HierarchySet groups such members and walks each group's
+// lead with the lead's own stream walker (Hierarchy.ReplayStream): the
+// stream is decoded and the L1 tags are scanned once per group, and the
+// lead's fill passes each miss on to every other member's own L2 and
+// memory. The lead's final L1 state is copied onto the other members when
+// the walk returns (callers read L1 stats only between walks, at phase
 // boundaries). A typical sweep family — one L1 geometry against many LLC
-// geometries — then pays the L1 tag scan once for the whole family.
+// geometries — then pays the L1 walk once for the whole family.
 package cache
 
 // HierarchySet replays compiled line streams into K hierarchies at once.
@@ -29,15 +23,10 @@ package cache
 // exactly the state K independent ReplayStream walks would have left it in,
 // so stats can be read (and phases snapshotted) as usual.
 type HierarchySet struct {
-	groups []l1Group
-}
-
-// l1Group is a set of hierarchies whose L1s share geometry and state.
-// lead is members[0].L1: it is the only L1 walked during a batch replay;
-// the other members' L1s are brought up to date by syncState afterwards.
-type l1Group struct {
-	lead    *Cache
-	members []*Hierarchy
+	// groups holds hierarchies whose L1s share geometry and state. A
+	// group's first member leads its walk; the other members' L1s are
+	// brought up to date by syncState afterwards.
+	groups [][]*Hierarchy
 }
 
 // NewHierarchySet groups hs for batched replay. It panics if the
@@ -57,16 +46,15 @@ func NewHierarchySet(hs []*Hierarchy) *HierarchySet {
 			panic("cache: HierarchySet hierarchies must share one line size")
 		}
 		joined := false
-		for gi := range s.groups {
-			g := &s.groups[gi]
-			if sameGeometry(g.lead, h.L1) && sameState(g.lead, h.L1) {
-				g.members = append(g.members, h)
+		for gi, g := range s.groups {
+			if sameGeometry(g[0].L1, h.L1) && sameState(g[0].L1, h.L1) {
+				s.groups[gi] = append(g, h)
 				joined = true
 				break
 			}
 		}
 		if !joined {
-			s.groups = append(s.groups, l1Group{lead: h.L1, members: []*Hierarchy{h}})
+			s.groups = append(s.groups, []*Hierarchy{h})
 		}
 	}
 	return s
@@ -78,30 +66,19 @@ func (s *HierarchySet) Groups() int { return len(s.groups) }
 
 // ReplayStreamBatch drives one compiled line stream through every member
 // hierarchy, leaving each in the byte-identical state of an independent
-// Hierarchy.ReplayStream walk. Each RLE run is decoded once and applied
-// config-major: the full run against group 0's caches, then group 1's, and
-// so on — run decode and per-run bookkeeping are paid per run, not per
-// (run, config). A loop runs to completion against one group before the
-// next, each group leaving the walk when its own lead L1 hits throughout
-// an iteration (Hierarchy.loop).
+// Hierarchy.ReplayStream walk. Each group in turn walks the whole stream:
+// its lead runs its own stream walker, loops included (the lead's L1
+// decides when an iteration hits throughout), with the other members as
+// followers of its fill. Walking group after group is exact because every
+// hierarchy belongs to exactly one group and groups share no cache, meter
+// or counter; within a group each miss still fills the lead first and then
+// the members in order.
 func (s *HierarchySet) ReplayStreamBatch(ls *LineStream) {
-	prog := ls.prog
-	for i := 0; i+1 < len(prog); i += 2 {
-		w0, addr := prog[i], prog[i+1]
-		n := w0 >> 33
-		delta := int64(int32(uint32(w0 >> 1)))
-		write := w0&1 != 0
-		for gi := range s.groups {
-			g := &s.groups[gi]
-			switch {
-			case n == 0:
-				g.loop(loopBody(prog, i), addr)
-			case delta == 0:
-				g.accessRepeat(addr, write, n)
-			default:
-				g.accessRun(addr, write, n, delta)
-			}
-		}
+	for _, g := range s.groups {
+		lead := g[0]
+		lead.followers = g[1:]
+		lead.ReplayStream(ls)
+		lead.followers = nil
 	}
 	s.syncState()
 }
@@ -110,67 +87,9 @@ func (s *HierarchySet) ReplayStreamBatch(ls *LineStream) {
 // restoring the invariant that every member hierarchy individually looks
 // serially replayed. Runs once per stream, not per run.
 func (s *HierarchySet) syncState() {
-	for gi := range s.groups {
-		g := &s.groups[gi]
-		for _, h := range g.members[1:] {
-			h.L1.copyStateFrom(g.lead)
+	for _, g := range s.groups {
+		for _, h := range g[1:] {
+			h.L1.copyStateFrom(g[0].L1)
 		}
-	}
-}
-
-// fill fans one L1 miss's consequences out to every member's own lower
-// levels. Group members share L1 behaviour by construction, so the same
-// (miss, writeback) outcome applies to each; L2 contents and memory traffic
-// stay fully per-config.
-func (g *l1Group) fill(line uint64, wb bool, wbAddr uint64) {
-	for _, h := range g.members {
-		h.fill(line, wb, wbAddr)
-	}
-}
-
-// loop is Hierarchy.loop against the group: the lead L1 walks extra more
-// iterations of body until one misses nowhere, and counts the rest in one
-// step.
-func (g *l1Group) loop(body []uint64, extra uint64) {
-	l1 := g.lead
-	for ; extra > 0; extra-- {
-		misses := l1.stats.Misses
-		for i := 0; i < len(body); i += 2 {
-			w0, addr := body[i], body[i+1]
-			n := w0 >> 33
-			delta := int64(int32(uint32(w0 >> 1)))
-			if delta == 0 {
-				g.accessRepeat(addr, w0&1 != 0, n)
-			} else {
-				g.accessRun(addr, w0&1 != 0, n, delta)
-			}
-		}
-		if l1.stats.Misses == misses {
-			l1.countHits(body, extra-1)
-			return
-		}
-	}
-}
-
-// accessRepeat is Hierarchy.accessRepeat against the group: the lead L1
-// absorbs the n accesses in O(1), and a first-access miss fills every
-// member.
-func (g *l1Group) accessRepeat(addr uint64, write bool, n uint64) {
-	hit, wb, wbAddr := g.lead.AccessRepeat(addr, write, n)
-	if !hit {
-		g.fill(addr, wb, wbAddr)
-	}
-}
-
-// accessRun is Hierarchy.accessRun against the group: the lead L1 walks
-// the run, and each miss fills every member.
-func (g *l1Group) accessRun(addr uint64, write bool, n uint64, delta int64) {
-	l1 := g.lead
-	l1.count(write, n)
-	for ; n > 0; n-- {
-		if hit, wb, wbAddr := l1.lookup(addr>>l1.lineBits, write); !hit {
-			g.fill(addr, wb, wbAddr)
-		}
-		addr += uint64(delta)
 	}
 }

@@ -44,21 +44,25 @@ func batchConfigSets() [][]struct {
 	}
 }
 
-// TestReplayStreamBatchMatchesSerial is the tentpole equivalence gate at
-// the cache layer: for random access sequences split across several
-// streams (phase boundaries), ReplayStreamBatch must leave every member
-// hierarchy — L1, L2, and row meter — in the byte-identical state of an
-// independent ReplayStream walk per config.
+// TestReplayStreamBatchMatchesSerial is the equivalence gate at the cache
+// layer: for random access sequences split across several streams (phase
+// boundaries), ReplayStreamBatch must leave every member hierarchy — L1,
+// L2, and row meter — in the byte-identical state of issuing each stream's
+// accesses one at a time through the per-access path, per config. The
+// stream walker runs inside every batch, so the per-access path is the
+// reference.
 func TestReplayStreamBatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for si, set := range batchConfigSets() {
 		for trial := 0; trial < 12; trial++ {
 			// Several streams per trial: state (incl. the lead-L1 sync)
 			// must carry correctly across ReplayStreamBatch calls.
-			streams := make([]LineStream, 1+rng.Intn(4))
+			accs := make([][]lineAccess, 1+rng.Intn(4))
+			streams := make([]LineStream, len(accs))
 			for i := range streams {
+				accs[i] = randomLineSequence(rng, 500+rng.Intn(1500))
 				var b StreamBuilder
-				for _, a := range randomLineSequence(rng, 500+rng.Intn(1500)) {
+				for _, a := range accs[i] {
 					b.Access(a.addr, a.write)
 				}
 				streams[i] = b.Finish()
@@ -73,31 +77,31 @@ func TestReplayStreamBatchMatchesSerial(t *testing.T) {
 			}
 
 			batched := make([]*Hierarchy, len(set))
-			serial := make([]*Hierarchy, len(set))
+			ref := make([]*Hierarchy, len(set))
 			for i := range set {
-				batched[i], serial[i] = newH(i), newH(i)
+				batched[i], ref[i] = newH(i), newH(i)
 			}
 			hs := NewHierarchySet(batched)
 			for i := range streams {
 				hs.ReplayStreamBatch(&streams[i])
-				for _, h := range serial {
-					h.ReplayStream(&streams[i])
+				for _, h := range ref {
+					replayReference(h, accs[i])
 				}
 				// Every member must be fully synced after every call, not
 				// just at the end: phase snapshots read stats between
 				// streams.
 				for k := range set {
-					if !equalCacheState(batched[k].L1, serial[k].L1) {
+					if !equalCacheState(batched[k].L1, ref[k].L1) {
 						t.Fatalf("set %d trial %d stream %d config %d: L1 state diverged", si, trial, i, k)
 					}
-					if serial[k].L2 != nil && !equalCacheState(batched[k].L2, serial[k].L2) {
+					if ref[k].L2 != nil && !equalCacheState(batched[k].L2, ref[k].L2) {
 						t.Fatalf("set %d trial %d stream %d config %d: L2 state diverged", si, trial, i, k)
 					}
 					mb := batched[k].Mem.(*dram.RowMeter)
-					ms := serial[k].Mem.(*dram.RowMeter)
-					if mb.Traffic() != ms.Traffic() || mb.RowStats() != ms.RowStats() {
-						t.Fatalf("set %d trial %d stream %d config %d: memory traffic diverged:\nbatch  %+v %+v\nserial %+v %+v",
-							si, trial, i, k, mb.Traffic(), mb.RowStats(), ms.Traffic(), ms.RowStats())
+					mr := ref[k].Mem.(*dram.RowMeter)
+					if mb.Traffic() != mr.Traffic() || mb.RowStats() != mr.RowStats() {
+						t.Fatalf("set %d trial %d stream %d config %d: memory traffic diverged:\nbatch     %+v %+v\nper-access %+v %+v",
+							si, trial, i, k, mb.Traffic(), mb.RowStats(), mr.Traffic(), mr.RowStats())
 					}
 				}
 			}
@@ -107,7 +111,7 @@ func TestReplayStreamBatchMatchesSerial(t *testing.T) {
 
 // TestReplayStreamBatchRandomGeometry fuzzes geometries themselves: random
 // L1/L2 shapes, grouped however NewHierarchySet decides, must still match
-// the serial walk exactly.
+// the per-access path exactly.
 func TestReplayStreamBatchRandomGeometry(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	sizes := []int{16 << 10, 32 << 10, 64 << 10, 128 << 10}
@@ -122,8 +126,9 @@ func TestReplayStreamBatchRandomGeometry(t *testing.T) {
 				l2s[i] = &Config{Name: "LLC", Size: sizes[rng.Intn(len(sizes))] * 8, Ways: 8}
 			}
 		}
+		accs := randomLineSequence(rng, 3000)
 		var b StreamBuilder
-		for _, a := range randomLineSequence(rng, 3000) {
+		for _, a := range accs {
 			b.Access(a.addr, a.write)
 		}
 		s := b.Finish()
@@ -142,7 +147,7 @@ func TestReplayStreamBatchRandomGeometry(t *testing.T) {
 		NewHierarchySet(batched).ReplayStreamBatch(&s)
 		for i := 0; i < k; i++ {
 			ref := newH(i)
-			ref.ReplayStream(&s)
+			replayReference(ref, accs)
 			if !equalCacheState(batched[i].L1, ref.L1) {
 				t.Fatalf("trial %d config %d (%+v): L1 state diverged", trial, i, l1s[i])
 			}
@@ -154,6 +159,58 @@ func TestReplayStreamBatchRandomGeometry(t *testing.T) {
 			if mb.Traffic() != mr.Traffic() || mb.RowStats() != mr.RowStats() {
 				t.Fatalf("trial %d config %d: memory traffic diverged", trial, i)
 			}
+		}
+	}
+}
+
+// TestReplayStreamBatchLeavesNoFollowers checks that the fan-out lives only
+// inside a batched walk: afterwards no member has followers, and live
+// accesses on the former group lead reach only its own LLC and row meter.
+func TestReplayStreamBatchLeavesNoFollowers(t *testing.T) {
+	hs := make([]*Hierarchy, 3)
+	for i := range hs {
+		llc := Config{Name: "LLC", Size: (128 << 10) << i, Ways: 8}
+		hs[i] = NewHierarchy(New(Config{Name: "L1D", Size: 64 << 10, Ways: 4}), New(llc), dram.NewRowMeter())
+	}
+	set := NewHierarchySet(hs)
+	if set.Groups() != 1 {
+		t.Fatalf("groups = %d, want 1", set.Groups())
+	}
+	var b StreamBuilder
+	for _, a := range randomLineSequence(rand.New(rand.NewSource(5)), 2000) {
+		b.Access(a.addr, a.write)
+	}
+	s := b.Finish()
+	set.ReplayStreamBatch(&s)
+	for i, h := range hs {
+		if h.followers != nil {
+			t.Fatalf("member %d keeps %d followers after the batch", i, len(h.followers))
+		}
+	}
+
+	type state struct {
+		llc     Stats
+		traffic dram.Traffic
+		rows    dram.RowStats
+	}
+	snap := func(h *Hierarchy) state {
+		m := h.Mem.(*dram.RowMeter)
+		return state{h.L2.Stats(), m.Traffic(), m.RowStats()}
+	}
+	before := make([]state, len(hs))
+	for i, h := range hs {
+		before[i] = snap(h)
+	}
+	// Lines far above anything the stream touched: every access misses the
+	// lead's L1.
+	hs[0].Load(1<<40, 4096)
+	hs[0].Store(1<<40+1<<20, 4096)
+	if snap(hs[0]) == before[0] {
+		t.Fatalf("live accesses on the lead left its own LLC and meter untouched")
+	}
+	for i, h := range hs[1:] {
+		if snap(h) != before[i+1] {
+			t.Fatalf("live accesses on the lead reached member %d", i+1)
 		}
 	}
 }

@@ -50,11 +50,11 @@ func repeatGroup(k int, group ...byte) []byte {
 
 // FuzzLineStream builds the decoded accesses into a LineStream and
 // requires the stream to decode back to them, its Len to equal the access
-// count and the reused builder to encode them again the same; the stream
-// walker (Hierarchy.ReplayStream), the batched walker (a three-member
-// HierarchySet) and the per-access path to leave identical tags, counters
-// and DRAM meters; and the L1's hit, miss and writeback counts to equal
-// the recency-list oracle's.
+// count and the reused builder to encode them again the same; a batched
+// walk (a three-member HierarchySet, so the stream walker both with and
+// without followers) to leave every member in the per-access path's tags,
+// counters and DRAM meters; and the L1's hit, miss and writeback counts to
+// equal the recency-list oracle's.
 func FuzzLineStream(f *testing.F) {
 	var repeat, stride, conflict []byte
 	for i := 0; i < 64; i++ {
@@ -127,19 +127,16 @@ func FuzzLineStream(f *testing.F) {
 		}
 		NewHierarchySet(batched).ReplayStreamBatch(&s)
 		for i, mk := range cfgs {
-			serial, each := mk(), mk()
-			serial.ReplayStream(&s)
+			h, each := batched[i], mk()
 			replayReference(each, accs)
-			for _, h := range []*Hierarchy{batched[i], each} {
-				if !equalCacheState(h.L1, serial.L1) || (serial.L2 != nil && !equalCacheState(h.L2, serial.L2)) {
-					t.Fatalf("config %d: cache state diverged from the stream walk", i)
-				}
-				mh, ms := h.Mem.(*dram.RowMeter), serial.Mem.(*dram.RowMeter)
-				if mh.Traffic() != ms.Traffic() || mh.RowStats() != ms.RowStats() {
-					t.Fatalf("config %d: DRAM meter diverged from the stream walk", i)
-				}
+			if !equalCacheState(h.L1, each.L1) || (each.L2 != nil && !equalCacheState(h.L2, each.L2)) {
+				t.Fatalf("config %d: cache state diverged from the per-access path", i)
 			}
-			checkSets(t, serial.L1)
+			mh, me := h.Mem.(*dram.RowMeter), each.Mem.(*dram.RowMeter)
+			if mh.Traffic() != me.Traffic() || mh.RowStats() != me.RowStats() {
+				t.Fatalf("config %d: DRAM meter diverged from the per-access path", i)
+			}
+			checkSets(t, h.L1)
 		}
 
 		ref := newRefCache(small().Config())

@@ -31,6 +31,11 @@ type Hierarchy struct {
 	rowMeter *dram.RowMeter
 
 	lineSize uint64
+
+	// followers are the other members of this hierarchy's L1 group while a
+	// HierarchySet walk leads with it: fill passes each L1 miss on to them.
+	// Nil outside that walk, so a live Load or Store never fans out.
+	followers []*Hierarchy
 }
 
 // NewHierarchy wires l1 (required), l2 (optional) and sink (required).
@@ -100,7 +105,8 @@ func (h *Hierarchy) access(line uint64, write bool) {
 
 // fill handles an L1 miss: propagate the evicted dirty line (if any)
 // downward, then fetch the demanded line from L2 or memory. A writeback
-// can only accompany a miss, so hit handling never reaches here.
+// can only accompany a miss, so hit handling never reaches here. The same
+// outcome then fills each follower's own lower levels.
 func (h *Hierarchy) fill(line uint64, wb bool, wbAddr uint64) {
 	if wb {
 		// Dirty L1 eviction: install in L2 (or write to memory directly).
@@ -115,14 +121,17 @@ func (h *Hierarchy) fill(line uint64, wb bool, wbAddr uint64) {
 	}
 	if h.L2 == nil {
 		h.readLine(line)
-		return
+	} else {
+		hit2, wb2, wb2Addr := h.L2.Access(line, false)
+		if wb2 {
+			h.writeLine(wb2Addr)
+		}
+		if !hit2 {
+			h.readLine(line)
+		}
 	}
-	hit2, wb2, wb2Addr := h.L2.Access(line, false)
-	if wb2 {
-		h.writeLine(wb2Addr)
-	}
-	if !hit2 {
-		h.readLine(line)
+	for _, f := range h.followers {
+		f.fill(line, wb, wbAddr)
 	}
 }
 

@@ -298,7 +298,8 @@ func (b *StreamBuilder) Finish() LineStream {
 // the span-splitting and per-event dispatch already compiled away. Repeat
 // runs (delta 0) apply in O(1); stride runs walk a tight per-line loop
 // with the stats bookkeeping hoisted out; loops stop walking once an
-// iteration hits throughout (see loop).
+// iteration hits throughout (see loop). It is the only stream walker:
+// HierarchySet.ReplayStreamBatch runs it once per L1 group.
 func (h *Hierarchy) ReplayStream(s *LineStream) {
 	h.replay(s.prog)
 }

@@ -216,7 +216,7 @@ func TestBuildReportDerived(t *testing.T) {
 	}))
 	r.Counter("par.worker.busy_ns").Add(900)
 	r.Counter("par.worker.idle_ns").Add(100)
-	rep := BuildReport(r, RunMeta{Command: "run", Scale: "quick", ReplayEngine: "compiled", Workers: 4}, 1234,
+	rep := BuildReport(r, RunMeta{Command: "run", Scale: "quick", Workers: 4}, 1234,
 		[]ExperimentTime{{Name: "fig5", WallNS: 10}})
 	if rep.Version != ReportVersion {
 		t.Fatalf("version = %d, want %d", rep.Version, ReportVersion)
@@ -273,7 +273,7 @@ func TestReportWriteTextMentionsKeySections(t *testing.T) {
 		emit("hits", 10)
 	}))
 	r.Histogram("phase.replay.compiled").Observe(1000)
-	rep := BuildReport(r, RunMeta{Command: "run", Scale: "quick", ReplayEngine: "compiled", Workers: 2}, 5e6,
+	rep := BuildReport(r, RunMeta{Command: "run", Scale: "quick", Workers: 2}, 5e6,
 		[]ExperimentTime{{Name: "fig5", WallNS: 2e6}, {Name: "fig9", WallNS: 3e6}})
 	var buf bytes.Buffer
 	rep.WriteText(&buf)

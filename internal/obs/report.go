@@ -13,7 +13,7 @@ import (
 // incompatible change to Report's shape so downstream consumers (the bench
 // harness, CI's checkreport gate) can reject reports they do not
 // understand instead of misreading them.
-const ReportVersion = 1
+const ReportVersion = 2
 
 // Source prefixes under which the trace-layer components export their
 // counters (see Registry.AddSource); the derived metrics below and every
@@ -31,11 +31,10 @@ type ExperimentTime struct {
 
 // RunMeta identifies the run a report describes.
 type RunMeta struct {
-	Command      string `json:"command"` // "run", "explore", "trace pack", ...
-	Scale        string `json:"scale"`
-	ReplayEngine string `json:"replay_engine"`
-	Workers      int    `json:"workers"` // resolved worker count
-	Configs      int    `json:"configs,omitempty"`
+	Command string `json:"command"` // "run", "explore", "trace pack", ...
+	Scale   string `json:"scale"`
+	Workers int    `json:"workers"` // resolved worker count
+	Configs int    `json:"configs,omitempty"`
 }
 
 // Derived is the report's headline ratios, precomputed from the raw
@@ -127,8 +126,8 @@ func pct(r float64) string { return fmt.Sprintf("%.1f%%", r*100) }
 // analyzer enforces that at every call site.
 func (rep *Report) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "== pimsim run report (v%d) ==\n", rep.Version)
-	fmt.Fprintf(w, "command: %s  scale: %s  replay: %s  workers: %d",
-		rep.Meta.Command, rep.Meta.Scale, rep.Meta.ReplayEngine, rep.Meta.Workers)
+	fmt.Fprintf(w, "command: %s  scale: %s  workers: %d",
+		rep.Meta.Command, rep.Meta.Scale, rep.Meta.Workers)
 	if rep.Meta.Configs > 0 {
 		fmt.Fprintf(w, "  configs: %d", rep.Meta.Configs)
 	}

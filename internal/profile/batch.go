@@ -7,8 +7,8 @@ import (
 // CtxBatch drives K replay contexts — one per hardware config — through one
 // compiled trace walk. The counter entry points fan out to every context
 // (each prices span refs at its own scalar/vector widths), and ReplayLines
-// walks the shared line stream once via cache.HierarchySet instead of once
-// per config. All configs must share one line size: compiled line streams
+// walks the shared line stream once per L1 group via cache.HierarchySet
+// instead of once per config. All configs must share one line size: compiled line streams
 // are per-line-size, so callers group configs by line size first.
 //
 // Every member context is left exactly as a serial replay would leave it,
@@ -56,8 +56,10 @@ func (b *CtxBatch) AddSpanRefs(rowBytes, rows uint64, vector bool) {
 	}
 }
 
-// ReplayLines walks the compiled line stream once, driving every context's
+// ReplayLines drives the compiled line stream through every context's
 // hierarchy and row meter (see cache.HierarchySet.ReplayStreamBatch).
+// Counters are unaffected; pair with AddCounters/AddSpanRefs to replay a
+// full trace segment.
 func (b *CtxBatch) ReplayLines(s *cache.LineStream) {
 	b.set.ReplayStreamBatch(s)
 }

@@ -465,14 +465,6 @@ func (c *Ctx) AddSpanRefs(rowBytes, rows uint64, vector bool) {
 	c.refs += rows * ((rowBytes + w - 1) / w)
 }
 
-// ReplayLines drives a compiled line stream through the context's cache
-// hierarchy and row meter (see cache.Hierarchy.ReplayStream). Counters are
-// unaffected; pair with AddCounters/AddSpanRefs to replay a full trace
-// segment.
-func (c *Ctx) ReplayLines(s *cache.LineStream) {
-	c.hier.ReplayStream(s)
-}
-
 // Load records a scalar-width read of n bytes at offset off in b.
 func (c *Ctx) Load(b *mem.Buffer, off, n int) {
 	if n <= 0 {

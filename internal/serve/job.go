@@ -99,8 +99,8 @@ func (sp JobSpec) scale() gopim.Scale {
 // different jobs — different tenants — share one computation through the
 // server's memo, so the cell key must capture everything that can change
 // the bytes: kind, scale, and the experiment or sweep parameters. Worker
-// counts and the replay engine are deliberately excluded: results are
-// bit-identical across both (gated in scripts/check.sh).
+// counts are deliberately excluded: results are bit-identical across them
+// (gated in scripts/check.sh).
 type cell struct {
 	name    string // chunk label in job results
 	key     string

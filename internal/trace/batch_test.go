@@ -55,8 +55,9 @@ func recordedTexture(b testing.TB, w, h int) *Trace {
 }
 
 // TestReplayBatchMatchesReplay is the trace-layer equivalence gate:
-// ReplayBatch must return, per config, exactly what an independent
-// Trace.Replay returns — profile and per-phase map.
+// ReplayBatch must return, per config, exactly what the reference
+// interpreter returns — profile and per-phase map. (Trace.Replay is itself
+// a batch of one, so the interpreter is the independent reference.)
 func TestReplayBatchMatchesReplay(t *testing.T) {
 	tr := recordedTexture(t, 256, 256)
 	for name, hws := range map[string][]profile.Hardware{
@@ -68,9 +69,9 @@ func TestReplayBatchMatchesReplay(t *testing.T) {
 			t.Fatalf("%s: %d results for %d configs", name, len(got), len(hws))
 		}
 		for i, hw := range hws {
-			wantProf, wantPhases := tr.Replay(hw)
+			wantProf, wantPhases := tr.ReplayInterp(hw)
 			if got[i].Profile != wantProf {
-				t.Errorf("%s config %d (%s): batch profile diverged:\nbatch  %+v\nserial %+v",
+				t.Errorf("%s config %d (%s): batch profile diverged:\nbatch  %+v\ninterp %+v",
 					name, i, HardwareKey(hw), got[i].Profile, wantProf)
 			}
 			if !reflect.DeepEqual(got[i].Phases, wantPhases) {
@@ -81,8 +82,8 @@ func TestReplayBatchMatchesReplay(t *testing.T) {
 }
 
 // TestReplayBatchWideLines covers the 128 B-line path end to end: configs
-// compiled and replayed at a non-default line size must match their serial
-// replays (which share the same compilation).
+// compiled and replayed at a non-default line size must match the
+// reference interpreter.
 func TestReplayBatchWideLines(t *testing.T) {
 	tr := recordedTexture(t, 256, 256)
 	l2 := cache.Config{Name: "LLC", Size: 2 << 20, Ways: 8, LineSize: 128}
@@ -92,9 +93,9 @@ func TestReplayBatchWideLines(t *testing.T) {
 	}
 	got := tr.ReplayBatch(hws)
 	for i, hw := range hws {
-		wantProf, wantPhases := tr.Replay(hw)
+		wantProf, wantPhases := tr.ReplayInterp(hw)
 		if got[i].Profile != wantProf || !reflect.DeepEqual(got[i].Phases, wantPhases) {
-			t.Errorf("config %d (%s): 128 B batch replay diverged from serial", i, HardwareKey(hw))
+			t.Errorf("config %d (%s): 128 B batch replay diverged from the interpreter", i, HardwareKey(hw))
 		}
 	}
 	// 128 B lines halve the event count of sequential walks but move 128
@@ -150,7 +151,7 @@ func TestTraceForRecordsOnce(t *testing.T) {
 
 // batchSerialOps returns the two operations the ≥2x acceptance criterion
 // compares: one batched walk of the K=8 sweep family vs K independent
-// serial replays of the same compiled trace.
+// Replay calls (batches of one) over the same compiled trace.
 //
 // The trace is Chrome tab compression: an L1-resident kernel (~88% L1 hit
 // rate), so the serial path spends most of each pass re-walking the same L1
@@ -186,7 +187,7 @@ func BenchmarkTraceReplayBatch(b *testing.B) {
 }
 
 // BenchmarkTraceReplaySerial8 prices the same 8 configs as 8 independent
-// ReplayStream walks — the path a sweep paid before batched replay.
+// Replay calls, each a batch of one — what a sweep pays without batching.
 func BenchmarkTraceReplaySerial8(b *testing.B) {
 	_, serial := batchSerialOps(b)
 	b.ResetTimer()
@@ -196,7 +197,7 @@ func BenchmarkTraceReplaySerial8(b *testing.B) {
 }
 
 // TestBatchReplaySpeedup is the perf acceptance gate: batched replay of the
-// K=8 family must be at least 2x faster than 8 serial replays. Timing gates
+// K=8 family must be at least 2x faster than 8 single replays. Timing gates
 // are load-sensitive, so it only runs when GOPIM_PERF_GATE is set
 // (scripts/check.sh sets it).
 func TestBatchReplaySpeedup(t *testing.T) {

@@ -40,7 +40,7 @@ func BenchmarkTraceReplayME(b *testing.B) {
 }
 
 // BenchmarkTraceReplayInterp replays the same trace through the reference
-// interpreter engine, isolating what the compiled line-stream form saves.
+// interpreter, isolating what the compiled line-stream form saves.
 func BenchmarkTraceReplayInterp(b *testing.B) {
 	k := texture.Kernel(512, 512, 1)
 	rec := NewRecorder(k.Name())

@@ -41,17 +41,6 @@ type Stats struct {
 	Evictions int64 // traces evicted by the in-memory size bound (Limit)
 }
 
-// Engine selects how a Cache replays traces.
-type Engine int
-
-// Replay engines. The compiled line-stream engine is the default (zero
-// value); the interpreter is the reference implementation kept for the
-// end-to-end equivalence gate (`pimsim -replay=interp`).
-const (
-	EngineCompiled Engine = iota
-	EngineInterp
-)
-
 // Cache memoizes kernel profiles at two levels: each keyed kernel executes
 // (and records its trace) once per process, and each (kernel, hardware)
 // pair replays once — later requests return the memoized result. Kernels
@@ -62,12 +51,6 @@ const (
 // single-flight, so concurrent experiment runners asking for the same
 // kernel block on one execution instead of duplicating it.
 type Cache struct {
-	// Engine selects the replay engine for cache-mediated replays. Set it
-	// before sharing the cache across goroutines; both engines produce
-	// bit-identical profiles, and compiled replays of one trace share a
-	// single compiled stream across all hardware configs.
-	Engine Engine
-
 	// Store, when non-nil, is the persistent content-addressed trace
 	// store consulted on every trace miss before falling back to direct
 	// execution, and written through (asynchronously) on every recording,
@@ -207,15 +190,10 @@ func (c *Cache) Profile(hw profile.Hardware, kernel profile.Kernel) (profile.Pro
 			re.prof, re.phases = te.prof, te.phases
 			return
 		}
-		if c.Engine == EngineInterp {
-			sp := c.Obs.Span("phase.replay.interp")
-			re.prof, re.phases = te.trace.ReplayInterp(hw)
-			sp.End()
-		} else {
-			sp := c.Obs.Span("phase.replay.compiled")
-			re.prof, re.phases = te.trace.Replay(hw)
-			sp.End()
-		}
+		// Run reports and the benchmark read this span by its old name.
+		sp := c.Obs.Span("phase.replay.compiled")
+		re.prof, re.phases = te.trace.Replay(hw)
+		sp.End()
 		c.replays.Add(1)
 	})
 	if !first {

@@ -17,12 +17,12 @@
 // walks to stride runs, groups of runs repeated back to back to loops),
 // pre-summed hardware-independent counters, and
 // span-ref groups aggregated by (rowBytes, width class). Replaying a
-// segment is then SetPhase + AddCounters + O(groups) ref pricing +
-// Hierarchy.ReplayStream — the per-event decode switch, buffer
-// translation, and per-row line splitting all happen exactly once per
-// trace instead of once per replay. Counters commute with memory events
-// inside a phase (they only meet at phase-boundary snapshots), so moving
-// them to the segment head is exact.
+// segment is then SetPhase + AddCounters + O(groups) ref pricing + one
+// line-stream walk per L1 group (Hierarchy.ReplayStream) — the per-event
+// decode switch, buffer translation, and per-row line splitting all happen
+// exactly once per trace instead of once per replay. Counters commute with
+// memory events inside a phase (they only meet at phase-boundary
+// snapshots), so moving them to the segment head is exact.
 package trace
 
 import (
@@ -181,47 +181,10 @@ func (t *Trace) compileOnce(lineSize uint64) *compiled {
 	return c
 }
 
-// replayCompiled drives the compiled form through a fresh context.
-func (t *Trace) replayCompiled(hw profile.Hardware) (profile.Profile, map[string]profile.Profile) {
-	ls := hw.L1.LineSize
-	if ls == 0 {
-		ls = mem.LineSize
-	}
-	c := t.compile(uint64(ls))
-	ctx := profile.NewCtx(hw)
-	for i := range c.segs {
-		seg := &c.segs[i]
-		ctx.SetPhase(seg.phase)
-		ctx.AddCounters(seg.ops, seg.simd, seg.refs)
-		for _, g := range seg.scalar {
-			ctx.AddSpanRefs(g.rowBytes, g.rows, false)
-		}
-		for _, g := range seg.vector {
-			ctx.AddSpanRefs(g.rowBytes, g.rows, true)
-		}
-		ctx.ReplayLines(&seg.stream)
-	}
-	return ctx.Finish()
-}
-
-// CompiledTrace is a handle on one trace lowered for one line size — the
-// unit a multi-config sweep shares: every hardware config with that line
-// size replays the same segments and the same line streams. Obtain one via
-// Trace.Compiled; the zero value is not usable.
-type CompiledTrace struct {
-	t        *Trace
-	c        *compiled
-	lineSize uint64
-}
-
-// Compiled returns the trace lowered for lineSize, compiling it on first
-// use (memoized on the Trace, single-flight, shared by every replay).
-func (t *Trace) Compiled(lineSize uint64) CompiledTrace {
-	return CompiledTrace{t: t, c: t.compile(lineSize), lineSize: lineSize}
-}
-
-// LineSize returns the line size this compilation was lowered for.
-func (ct CompiledTrace) LineSize() uint64 { return ct.lineSize }
+// Compiled lowers the trace for lineSize ahead of use (memoized on the
+// Trace, single-flight, shared by every replay), so no later replay at that
+// line size pays for compilation.
+func (t *Trace) Compiled(lineSize uint64) { t.compile(lineSize) }
 
 // BatchResult is one hardware config's replay outcome.
 type BatchResult struct {
@@ -229,31 +192,40 @@ type BatchResult struct {
 	Phases  map[string]profile.Profile
 }
 
-// ReplayBatch replays the compiled trace against all of hws in one walk:
-// per segment it fans the pre-summed counters and span-ref groups out to
-// every config's context and then drives the segment's line stream through
-// all K hierarchies via the batched stream walker (profile.CtxBatch /
-// cache.HierarchySet), decoding each RLE run once instead of once per
-// config. Results are index-aligned with hws and byte-identical to K
-// independent Trace.Replay calls.
-//
-// Every config's line size must equal the compilation's (that is the
-// sharing contract); ReplayBatch panics otherwise, mirroring the cache
-// layer's constructor checks.
-func (ct CompiledTrace) ReplayBatch(hws []profile.Hardware) []BatchResult {
-	for _, hw := range hws {
-		ls := hw.L1.LineSize
-		if ls == 0 {
-			ls = mem.LineSize
-		}
-		if uint64(ls) != ct.lineSize {
-			panic(fmt.Sprintf("trace: ReplayBatch config line size %d != compiled line size %d", ls, ct.lineSize))
-		}
+// ReplayBatch replays the trace against all of hws in one batched walk (see
+// replay), compiling it for their line size first if needed. Results are
+// index-aligned with hws and byte-identical to K independent Trace.Replay
+// calls. The configs must share one line size — compiled streams are
+// per-line-size — and ReplayBatch panics otherwise (cache.NewHierarchySet's
+// contract); callers with mixed line sizes group configs by line size and
+// call once per group.
+func (t *Trace) ReplayBatch(hws []profile.Hardware) []BatchResult {
+	if len(hws) == 0 {
+		return nil
 	}
-	defer ct.t.Obs.Span("phase.replay.batch").End()
+	c := t.compile(hwLineSize(hws[0]))
+	defer t.Obs.Span("phase.replay.batch").End()
+	return c.replay(hws)
+}
+
+// hwLineSize returns the line size hw's caches use.
+func hwLineSize(hw profile.Hardware) uint64 {
+	if hw.L1.LineSize == 0 {
+		return mem.LineSize
+	}
+	return uint64(hw.L1.LineSize)
+}
+
+// replay drives the compiled form through fresh contexts for hws, which
+// must share its line size: per segment it fans the pre-summed counters
+// and span-ref groups out to every config's context, then drives the
+// segment's line stream through all K hierarchies at once
+// (profile.CtxBatch, cache.HierarchySet), decoding each run once per L1
+// group instead of once per config.
+func (c *compiled) replay(hws []profile.Hardware) []BatchResult {
 	batch := profile.NewCtxBatch(hws)
-	for i := range ct.c.segs {
-		seg := &ct.c.segs[i]
+	for i := range c.segs {
+		seg := &c.segs[i]
 		batch.SetPhase(seg.phase)
 		batch.AddCounters(seg.ops, seg.simd, seg.refs)
 		for _, g := range seg.scalar {
@@ -270,21 +242,6 @@ func (ct CompiledTrace) ReplayBatch(hws []profile.Hardware) []BatchResult {
 		out[i] = BatchResult{Profile: profs[i], Phases: phases[i]}
 	}
 	return out
-}
-
-// ReplayBatch replays the trace against all of hws, which must share one
-// line size, in a single batched walk (see CompiledTrace.ReplayBatch).
-// Callers with mixed line sizes group configs by line size and call once
-// per group.
-func (t *Trace) ReplayBatch(hws []profile.Hardware) []BatchResult {
-	if len(hws) == 0 {
-		return nil
-	}
-	ls := hws[0].L1.LineSize
-	if ls == 0 {
-		ls = mem.LineSize
-	}
-	return t.Compiled(uint64(ls)).ReplayBatch(hws)
 }
 
 // CompiledWords returns the size in 8-byte words of the compiled line

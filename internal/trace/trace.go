@@ -212,12 +212,14 @@ func (r *Recorder) Finish() *Trace {
 
 // Replay feeds the recorded stream into a fresh context for hw — a new cache
 // hierarchy and row meter — and returns exactly what profile.Run(hw, kernel)
-// returns, including the per-phase map. It drives the compiled line-stream
-// engine (see compile.go), lowering the trace once per line size and
-// reusing that form across every subsequent replay and hardware config.
-// Replay is safe to call concurrently on the same Trace.
+// returns, including the per-phase map. It is a batch of one (see
+// ReplayBatch) over the compiled line-stream form (see compile.go), which
+// is lowered once per line size and reused across every subsequent replay
+// and hardware config. Replay is safe to call concurrently on the same
+// Trace.
 func (t *Trace) Replay(hw profile.Hardware) (profile.Profile, map[string]profile.Profile) {
-	return t.replayCompiled(hw)
+	r := t.compile(hwLineSize(hw)).replay([]profile.Hardware{hw})[0]
+	return r.Profile, r.Phases
 }
 
 // buffers returns the interpreter's synthetic buffer handles, built once
@@ -233,11 +235,11 @@ func (t *Trace) buffers() []*mem.Buffer {
 	return t.replayBufs
 }
 
-// ReplayInterp is the reference replay engine: it interprets the packed
-// span events one at a time through the live span entry points. It
-// computes exactly what Replay computes — the compiled engine is defined
-// (and gate-tested) against it — and remains reachable via
-// `pimsim -replay=interp` so the equivalence can be checked end to end.
+// ReplayInterp is the reference replay: it interprets the packed span
+// events one at a time through the live span entry points. It computes
+// exactly what Replay computes — the compiled form is defined (and
+// gate-tested) against it — and no program path calls it: it is the oracle
+// that tests and the benchmark's layer walk compare Replay with.
 func (t *Trace) ReplayInterp(hw profile.Hardware) (profile.Profile, map[string]profile.Profile) {
 	ctx := profile.NewCtx(hw)
 	bufs := t.buffers()

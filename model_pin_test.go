@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -24,13 +25,28 @@ import (
 const pinnedProfilesDigest = "1bf32e661116af303e484293bbfc4013682abb0f3fcdf7489f58e7437fb7c1cc"
 
 // TestModelProfilesPinned profiles the nine quick targets on SoC, PIM-core
-// and PIM-acc through one trace cache, hashes every total and per-phase
-// profile (phases in name order) against pinnedProfilesDigest, and checks
-// the cache/DRAM model's conservation laws on each of the 27 results.
-// Every field of profile.Profile is a uint64, hashed little-endian in
-// declaration order, so the digest is the same on every architecture.
+// and PIM-acc through one store-backed trace cache, hashes every total and
+// per-phase profile (phases in name order) against pinnedProfilesDigest,
+// and checks the cache/DRAM model's conservation laws on each of the 27
+// results. Every field of profile.Profile is a uint64, hashed
+// little-endian in declaration order, so the digest is the same on every
+// architecture. It then replays the nine stored entries through the
+// reference interpreter, which decodes their event sections lazily, and
+// requires the same 27 results.
 func TestModelProfilesPinned(t *testing.T) {
+	st, err := trace.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := trace.NewCache()
+	c.Store = st
+	type result struct {
+		total  profile.Profile
+		phases map[string]profile.Profile
+	}
+	first := map[string]result{}
+	targets := gopim.Targets(gopim.Quick)
+	hws := []profile.Hardware{profile.SoC(), profile.PIMCore(), profile.PIMAcc()}
 	h := sha256.New()
 	hash := func(label string, p profile.Profile) {
 		fmt.Fprintf(h, "%s\x00", label)
@@ -38,9 +54,10 @@ func TestModelProfilesPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, tgt := range gopim.Targets(gopim.Quick) {
-		for _, hw := range []profile.Hardware{profile.SoC(), profile.PIMCore(), profile.PIMAcc()} {
+	for _, tgt := range targets {
+		for _, hw := range hws {
 			total, phases := c.Profile(hw, tgt.Kernel)
+			first[tgt.Name+"\x00"+hw.Name] = result{total, phases}
 			names := make([]string, 0, len(phases))
 			for name := range phases {
 				names = append(names, name)
@@ -64,6 +81,23 @@ func TestModelProfilesPinned(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != pinnedProfilesDigest {
 		t.Errorf("profile digest %s, want %s: the modelled statistics moved", got, pinnedProfilesDigest)
+	}
+
+	st.Wait()
+	fresh := trace.NewCache()
+	fresh.Store = st
+	for _, tgt := range targets {
+		tr := fresh.TraceFor(tgt.Kernel)
+		for _, hw := range hws {
+			total, phases := tr.ReplayInterp(hw)
+			want := first[tgt.Name+"\x00"+hw.Name]
+			if total != want.total || !reflect.DeepEqual(phases, want.phases) {
+				t.Errorf("%s on %s: the interpreter's replay of the stored trace differs from the first pass", tgt.Name, hw.Name)
+			}
+		}
+	}
+	if s := fresh.Stats(); s.Records != 0 || s.StoreHits != int64(len(targets)) {
+		t.Errorf("fresh cache over the store: %d records, %d store hits; want 0 and %d", s.Records, s.StoreHits, len(targets))
 	}
 }
 

@@ -28,12 +28,13 @@ go test -race -timeout 45m ./...
 # bit-for-bit for every kernel family on every hardware config.
 go test -race -count=1 -run 'TestReplayEquivalence|TestCache' ./internal/trace
 
-# Batched-replay equivalence gate: one multi-config stream walk must be
-# byte-identical to K independent serial walks, at both layers.
+# Batched-replay equivalence gate: one multi-config stream walk must leave
+# every config in the per-access path's state (cache layer) and price it
+# exactly as the reference interpreter does (trace layer).
 go test -race -count=1 -run 'TestReplayStreamBatch|TestReplayBatch|TestHierarchySet' ./internal/cache ./internal/trace
 
-# Line-stream fuzz smoke: decoded access sequences must leave the stream,
-# batched and per-access walkers in identical state and agree with the
+# Line-stream fuzz smoke: a batched walk of decoded access sequences must
+# leave every member in the per-access path's state and agree with the
 # recency-list oracle (plain `go test` runs only the seed corpus). A short
 # minimize time keeps the 20 s on new inputs rather than on shrinking the
 # ones that widened coverage.
@@ -51,7 +52,7 @@ go test -run '^$' -fuzz FuzzDecodeTrace -fuzztime 20s -fuzzminimizetime 1s ./int
 go test -run '^$' -fuzz FuzzJobSpec -fuzztime 20s -fuzzminimizetime 1s ./internal/serve
 
 # Batched-replay perf gate: pricing the K=8 sweep family in one walk must
-# be at least 2x faster than 8 serial replays (no -race: it times).
+# be at least 2x faster than 8 single replays (no -race: it times).
 GOPIM_PERF_GATE=1 go test -count=1 -run TestBatchReplaySpeedup -v ./internal/trace
 
 # Sub-pel interpolation perf gate: the interior fast path of a 16x16
@@ -63,18 +64,14 @@ GOPIM_PERF_GATE=1 go test -count=1 -run TestPredictLumaSpeedup -v ./internal/vp9
 go test -race -count=1 -run TestExplorePaperConfigsMatchEvaluate ./experiments
 
 # End-to-end trace-cache gate: the full default-scale sweep must render
-# byte-identical output with the kernel trace cache on and off, and — with
-# it on — through both replay engines (the compiled line-stream engine and
-# the reference interpreter). -tracestore=off pins these three runs to the
-# pure in-memory paths.
+# byte-identical output with the kernel trace cache on and off.
+# -tracestore=off pins both runs to the pure in-memory paths.
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 go build -o "$tmpdir/pimsim" ./cmd/pimsim
 "$tmpdir/pimsim" -tracestore=off -tracecache=off run all > "$tmpdir/off.txt"
-"$tmpdir/pimsim" -tracestore=off -tracecache=on -replay=compiled run all > "$tmpdir/on.txt"
-"$tmpdir/pimsim" -tracestore=off -tracecache=on -replay=interp run all > "$tmpdir/interp.txt"
+"$tmpdir/pimsim" -tracestore=off -tracecache=on run all > "$tmpdir/on.txt"
 cmp "$tmpdir/off.txt" "$tmpdir/on.txt"
-cmp "$tmpdir/on.txt" "$tmpdir/interp.txt"
 
 # Explore smoke: a seeded random sweep renders in all three formats, and
 # its output is byte-identical across worker counts.
@@ -86,17 +83,15 @@ cmp "$tmpdir/explore.txt" "$tmpdir/explore-w4.txt"
 
 # Persistent trace-store gate: pack a store, then require byte-identical
 # output from a cold process reading it — through the stored 64 B forms,
-# and through the paths that decode the stored events: the interpreter,
-# and the explorer's 128 B designs — a clean `trace verify`, and — after
-# corrupting every entry — a verify that fails plus a run that falls back to
-# re-recording with output still byte-identical.
+# and through the path that decodes the stored events, the explorer's
+# 128 B designs — a clean `trace verify`, and — after corrupting every
+# entry — a verify that fails plus a run that falls back to re-recording
+# with output still byte-identical.
 store="$tmpdir/store"
 "$tmpdir/pimsim" -tracestore="$store" trace pack
 "$tmpdir/pimsim" -tracestore="$store" trace verify
 "$tmpdir/pimsim" -tracestore="$store" run all > "$tmpdir/store.txt"
 cmp "$tmpdir/off.txt" "$tmpdir/store.txt"
-"$tmpdir/pimsim" -tracestore="$store" -replay=interp run all > "$tmpdir/store-interp.txt"
-cmp "$tmpdir/interp.txt" "$tmpdir/store-interp.txt"
 "$tmpdir/pimsim" -tracestore="$store" explore -mode random -n 40 -seed 7 > "$tmpdir/store-explore.txt"
 cmp "$tmpdir/explore.txt" "$tmpdir/store-explore.txt"
 for f in "$store"/v*/*/*.trace; do truncate -s -3 "$f"; done
